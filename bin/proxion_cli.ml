@@ -202,12 +202,9 @@ let run_stream_scan chain faults telemetry stream_batch batch_size domains =
   | None -> ());
   if outputs_failed then 1 else 0
 
-let run_scan ~deprecated chain faults telemetry journal_path journal_fsync
-    findings batch_size domains checkpoint_path resume_path max_batches
-    retry_skipped stream =
-  if deprecated then
-    prerr_endline
-      "warning: `proxion landscape` is a deprecated alias; use `proxion scan`";
+let run_scan chain faults telemetry journal_path journal_fsync findings
+    batch_size domains checkpoint_path resume_path max_batches retry_skipped
+    stream =
   match (batch_size, domains, Faults_spec.validate faults) with
   | Some b, _, _ when b <= 0 ->
       prerr_endline "error: --batch-size must be positive";
@@ -439,7 +436,7 @@ let run_scan ~deprecated chain faults telemetry journal_path journal_fsync
             print_landscape t findings
           end)
 
-let scan_term ~deprecated =
+let scan_term =
   let findings_arg =
     Arg.(
       value & opt int 0
@@ -521,7 +518,7 @@ let scan_term ~deprecated =
              any --domains.")
   in
   Term.(
-    const (run_scan ~deprecated)
+    const run_scan
     $ Chain_spec.term () $ Faults_spec.term $ Telemetry_spec.term
     $ journal_arg $ Journal_spec.fsync_term $ findings_arg $ batch_size_arg
     $ domains_arg $ checkpoint_arg $ resume_arg $ max_batches_arg
@@ -532,11 +529,7 @@ let scan_cmd =
     "Generate a synthetic landscape, run the full pipeline through the \
      staged engine, and print the section-7 figures and tables."
   in
-  Cmd.v (Cmd.info "scan" ~doc) (scan_term ~deprecated:false)
-
-let landscape_cmd =
-  let doc = "Deprecated alias of $(b,scan)." in
-  Cmd.v (Cmd.info "landscape" ~doc) (scan_term ~deprecated:true)
+  Cmd.v (Cmd.info "scan" ~doc) scan_term
 
 (* --- serve: the resident analysis daemon --------------------------------- *)
 
@@ -1408,7 +1401,6 @@ let () =
           [
             analyze_cmd;
             scan_cmd;
-            landscape_cmd;
             serve_cmd;
             query_cmd;
             top_cmd;

@@ -11,12 +11,10 @@ type cached_detection =
 
 (* Telemetry wiring: the shared registry, the metric families the
    analyzer records per item (through input-order-merged shards), and the
-   optional span collector with its 1-in-N item sampling factor for
-   worker-lane RPC/EVM-frame detail. *)
+   optional span collector. *)
 type telemetry = {
   tm_registry : Obs.Metrics.t;
   tm_trace : Obs.Trace.t option;
-  tm_sample : int;
   tm_rpc_attempts : Obs.Metrics.family;
   tm_api_methods : Obs.Metrics.family;
   tm_endpoint_attempts : Obs.Metrics.family;
@@ -102,8 +100,8 @@ type t = {
   mutable telemetry : telemetry option;
   req_ctx : Obs.Trace.ctx option Atomic.t;
       (* Request-scoped trace context (daemon [query]/[advance]): while
-         set, every item is treated as sampled and its RPC/EVM spans
-         carry the context's trace/span ids.  Only one request-scoped
+         set, every item is treated as sampled and the engine parents
+         the run's spans under it.  Only one request-scoped
          analysis runs at a time (the daemon serializes them under its
          advance lock), so a plain atomic slot suffices. *)
   transport_obs : (Resilience.Transport.event -> unit) option Atomic.t;
@@ -380,18 +378,6 @@ let group_key chain addr = Keccak.digest (Chain.code_at chain addr)
 let make_transport t ctx addr chain obs =
   let subject = Address.to_hex addr in
   let worker = Engine.worker_id ctx in
-  (* Args joining a worker-lane span to the active request trace, when
-     one is set; leaf spans carry the request span as their parent. *)
-  let req_trace_args () =
-    match Atomic.get t.req_ctx with
-    | None -> []
-    | Some c ->
-        [
-          ("trace_id", Json.String (Obs.Trace.id_to_hex c.Obs.Trace.trace_id));
-          ( "parent_span_id",
-            Json.String (Obs.Trace.id_to_hex c.Obs.Trace.span_id) );
-        ]
-  in
   let on_event ev =
     (match Atomic.get t.transport_obs with Some f -> f ev | None -> ());
     match ev with
@@ -432,10 +418,8 @@ let make_transport t ctx addr chain obs =
               io.io_shard tm.tm_endpoint_attempts;
             match tm.tm_trace with
             | Some tr when io.io_sampled ->
-                (* Worker-lane RPC detail on track worker+1, real-time
-                   stamped: the merged coordinator stream has no
-                   per-attempt timing left. *)
-                Obs.Trace.complete tr ~tid:(worker + 1) ~cat:"rpc" ~name:meth
+                (* On the worker's track, under the current stage span. *)
+                Obs.Trace.complete tr ~tid:worker ~cat:"rpc" ~name:meth
                   ~ts:(Obs.Trace.now tr) ~dur:latency
                   ~args:
                     ([
@@ -443,15 +427,19 @@ let make_transport t ctx addr chain obs =
                        ("outcome", Json.String outcome);
                        ("endpoint", Json.String endpoint);
                      ]
-                    @ req_trace_args ())
+                    @ Engine.trace_args ctx)
             | _ -> ())
         | _ -> ())
   in
   Resilience.Transport.create ~config:t.resilience ~salt:(Hashtbl.hash subject)
     ~on_event ~chain ()
 
-(* The sampling decision is a pure function of the address, never of
-   scheduling: the same items carry trace detail at every worker count. *)
+(* RPC/EVM-frame detail is recorded for 1 item in [trace_sample] — every
+   item while a request context is set.  The decision is a pure function
+   of the address, never of scheduling: the same items carry trace detail
+   at every worker count. *)
+let trace_sample = 16
+
 let item_obs_for t addr =
   match t.telemetry with
   | None -> None
@@ -466,8 +454,7 @@ let item_obs_for t addr =
              else tm.tm_registry);
           io_sampled =
             (Atomic.get t.req_ctx <> None
-            || tm.tm_sample > 0
-               && Hashtbl.hash (Address.to_hex addr) mod tm.tm_sample = 0);
+            || Hashtbl.hash (Address.to_hex addr) mod trace_sample = 0);
           io_frames = ref 0;
         }
 
@@ -489,26 +476,11 @@ let item_tracer t ctx obs =
             match (tm.tm_trace, !stack) with
             | Some tr, (kind, ts) :: rest when io.io_sampled ->
                 stack := rest;
-                let args =
-                  match Atomic.get t.req_ctx with
-                  | None -> []
-                  | Some c ->
-                      [
-                        ( "trace_id",
-                          Json.String
-                            (Obs.Trace.id_to_hex c.Obs.Trace.trace_id) );
-                        ( "parent_span_id",
-                          Json.String (Obs.Trace.id_to_hex c.Obs.Trace.span_id)
-                        );
-                      ]
-                in
-                Obs.Trace.complete tr
-                  ~tid:(Engine.worker_id ctx + 1)
-                  ~cat:"evm"
+                Obs.Trace.complete tr ~tid:(Engine.worker_id ctx) ~cat:"evm"
                   ~name:(Evm.Interp.call_kind_to_string kind)
                   ~ts
                   ~dur:(Obs.Trace.now tr -. ts)
-                  ~args
+                  ~args:(Engine.trace_args ctx)
             | _ -> ());
       }
   | _ -> Evm.Interp.no_tracer
@@ -733,9 +705,14 @@ let submit_all t =
 
 let step_b = [ 10.; 100.; 1000.; 1e4; 1e5; 1e6; 1e7 ]
 
-let instrument ?trace ?log ?(trace_sample = 16) registry t =
+let instrument ?trace ?log registry t =
   Engine.Telemetry.instrument registry t.engine;
-  Option.iter (fun tr -> Engine.Telemetry.attach_trace tr t.engine) trace;
+  Option.iter
+    (fun tr ->
+      Engine.Telemetry.attach_trace
+        ~parent:(fun () -> Atomic.get t.req_ctx)
+        tr t.engine)
+    trace;
   Option.iter (fun lg -> Engine.Telemetry.attach_log lg t.engine) log;
   let rpc_attempts =
     Obs.Metrics.counter registry
@@ -776,7 +753,6 @@ let instrument ?trace ?log ?(trace_sample = 16) registry t =
     {
       tm_registry = registry;
       tm_trace = trace;
-      tm_sample = trace_sample;
       tm_rpc_attempts = rpc_attempts;
       tm_api_methods = api_methods;
       tm_endpoint_attempts = endpoint_attempts;
@@ -827,7 +803,6 @@ let stage_totals_table t = Engine.stage_totals_table t.engine
 let skipped t = Engine.skipped t.engine
 let skipped_pairs t = Engine.skipped_pairs t.engine
 let requeue ?classes t = Engine.requeue ?classes t.engine
-let requeue_transients t = Engine.requeue_transients t.engine
 
 let report t =
   let contracts = Engine.results t.engine in

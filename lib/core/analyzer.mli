@@ -16,7 +16,7 @@
     exception escaping a stage dead-letters that contract with its fault
     class ([Transient] / [Permanent] / [Budget_exhausted]), stage and
     attempt count (with [Stage_errored]/[Item_skipped] events) instead of
-    aborting the run; {!requeue_transients} sends the recoverable ones
+    aborting the run; {!requeue} sends the recoverable ones
     around again.
 
     Runs are interruptible and resumable: {!checkpoint} serializes the
@@ -54,7 +54,6 @@ val engine : t -> (Evm.Address.t, Analysis.contract_report) Engine.t
 val instrument :
   ?trace:Obs.Trace.t ->
   ?log:Obs.Log.t ->
-  ?trace_sample:int ->
   Obs.Metrics.t ->
   t ->
   unit
@@ -65,22 +64,25 @@ val instrument :
     (volatile) Keccak-memo statistics.  Per-item observations are
     recorded into registry shards absorbed in input order at the
     engine's merge barrier, so a snapshot with volatile families
-    suppressed is byte-identical at every worker count.  [trace] adds
-    span collection: the deterministic coordinator timeline plus
-    worker-lane RPC/EVM-frame detail for a 1-in-[trace_sample] (default
-    16; 0 disables) subset of items chosen by address hash.  [log]
+    suppressed is byte-identical at every worker count.  [trace] turns
+    on live span recording: the engine's run/batch/item/stage spans
+    ({!Engine.Telemetry.attach_trace}) plus RPC-attempt and EVM-frame
+    spans, on the track of the worker that ran the item, for a 1-in-16
+    subset of items chosen by address hash.  [log]
     attaches the structured progress backend.  Call once, before
     {!run}. *)
 
 val set_request_ctx : t -> Obs.Trace.ctx option -> unit
 (** Set (or clear, with [None]) the request-scoped trace context.
-    While set, {e every} item is treated as trace-sampled and its
-    worker-lane RPC and EVM-frame spans carry the context's [trace_id]
-    with the context's span as [parent_span_id] — the daemon sets it
-    around a traced [query]/[advance] so endpoint attempts (including
-    quorum votes and hedges) and probe frames land inside the request
-    span.  Callers must serialize: one request-scoped analysis at a
-    time (the daemon's advance lock does this). *)
+    While set, {e every} item is treated as trace-sampled, and every
+    span of the run — run, batch, item, stage, and the RPC and EVM-frame
+    leaves under each stage — carries the context's [trace_id], with the
+    run span's [parent_span_id] naming the context's span.  The daemon
+    sets it around a traced [query]/[advance], so the analysis, its
+    endpoint attempts (quorum votes and hedges included) and its probe
+    frames form one tree under the request span.  Callers must
+    serialize: one request-scoped analysis at a time (the daemon's
+    advance lock does this). *)
 
 val request_ctx : t -> Obs.Trace.ctx option
 
@@ -121,9 +123,6 @@ val requeue : ?classes:Engine.skip_class list -> t -> int
     recoverable [Transient], [Budget_exhausted] and [Worker_crashed])
     back onto the work queue; returns how many moved, honoring the
     engine's attempt ceiling.  Run the analyzer again to retry them. *)
-
-val requeue_transients : t -> int
-(** {!requeue} with the default classes. *)
 
 (** {1 Results} *)
 

@@ -227,18 +227,29 @@ type ('item, 'res) t = {
   fail_counts : (string, int) Hashtbl.t;
   mutable crashes : int;
   clk : Obs.Clock.t;
+  mutable tracer : tracer option;
 }
+
+(* Live span recording: the collector, and a reader for the request
+   context spans hang under — while it returns [Some], every span
+   carries trace/span/parent ids derived from it. *)
+and tracer = { tr : Obs.Trace.t; parent : unit -> Obs.Trace.ctx option }
 
 (* What [process] sees: the engine, the id of the worker running the item
    (0 = the coordinator, also the sequential path), the buffer standing in
    for direct event/aggregate delivery when running on a worker, and the
    last stage entered — the attribution default for exceptions that escape
-   [process]. *)
+   [process].  The span fields are [None] unless a request context is
+   live; they are private to the item, so no id counter crosses domains. *)
 and ('item, 'res) ctx = {
   eng : ('item, 'res) t;
   worker : int;
   sink : 'res slot option; (* [None]: deliver directly (sequential path) *)
   mutable last_stage : stage option;
+  batch_span : Obs.Trace.ctx option;
+  item_span : Obs.Trace.ctx option;
+  mutable stage_span : Obs.Trace.ctx option;
+  mutable stages : int; (* stages entered: the next stage's ordinal *)
 }
 
 let create ?(batch_size = 32) ?(domains = 1) ?key ?crash_plan ?attempt_ceiling
@@ -267,6 +278,7 @@ let create ?(batch_size = 32) ?(domains = 1) ?key ?crash_plan ?attempt_ceiling
     fail_counts = Hashtbl.create 16;
     crashes = 0;
     clk = clock;
+    tracer = None;
   }
 
 let subscribe t f = t.subscribers <- t.subscribers @ [ f ]
@@ -286,7 +298,110 @@ let on_merged ctx f =
   | None -> f ()
   | Some slot -> slot.s_thunks <- f :: slot.s_thunks
 
+(* ------------------------------------------------------------------ *)
+(* Live spans                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Spans are recorded where the work happens, stamped from the engine's
+   own timings: the run on track 0, each item and stage on the track of
+   the worker that ran it (0 = the coordinator).  Span ids derive from
+   the request context by [Obs.Trace.child], indexed by batch index,
+   input position and stage ordinal. *)
+
+let item_ctx t ~worker ~sink ~batch_span index =
+  {
+    eng = t;
+    worker;
+    sink;
+    last_stage = None;
+    batch_span;
+    item_span =
+      (match batch_span with
+      | None -> None
+      | Some b -> Some (Obs.Trace.child b ~index));
+    stage_span = None;
+    stages = 0;
+  }
+
+(* The id args of a span at [span] under [parent]: none without ids. *)
+let span_ids parent span =
+  match (parent, span) with
+  | Some p, Some c -> Obs.Trace.ctx_args ~parent:p c
+  | _ -> []
+
+let trace_args ctx =
+  match if ctx.stage_span = None then ctx.item_span else ctx.stage_span with
+  | None -> []
+  | Some c ->
+      [
+        ("trace_id", Json.String (Obs.Trace.id_to_hex c.Obs.Trace.trace_id));
+        ( "parent_span_id",
+          Json.String (Obs.Trace.id_to_hex c.Obs.Trace.span_id) );
+      ]
+
+let trace_instant ctx tc ~cat ~name args =
+  Obs.Trace.instant tc.tr ~tid:ctx.worker ~cat ~name
+    ~ts:(Obs.Clock.now ctx.eng.clk)
+    ~args:(args @ trace_args ctx)
+
+let trace_event ctx tc = function
+  | Stage_errored { stage; subject; message; _ } ->
+      trace_instant ctx tc ~cat:"stage" ~name:(stage_name stage ^ "-error")
+        [ ("subject", Json.String subject); ("message", Json.String message) ]
+  | Retry_attempted { subject; attempt; reason; delay; _ } ->
+      trace_instant ctx tc ~cat:"rpc" ~name:"retry"
+        [
+          ("subject", Json.String subject);
+          ("attempt", Json.Int attempt);
+          ("reason", Json.String reason);
+          ("delay", Json.Float delay);
+        ]
+  | Circuit_opened { endpoint; failures; _ } ->
+      trace_instant ctx tc ~cat:"rpc" ~name:"circuit-opened"
+        [ ("endpoint", Json.String endpoint); ("failures", Json.Int failures) ]
+  | Circuit_closed { endpoint; _ } ->
+      trace_instant ctx tc ~cat:"rpc" ~name:"circuit-closed"
+        [ ("endpoint", Json.String endpoint) ]
+  | _ -> ()
+
+(* With a tracer attached, the clock read opening an item span. *)
+let item_start t =
+  match t.tracer with None -> 0.0 | Some _ -> Obs.Clock.now t.clk
+
+let trace_item ctx ~subject ~t0 outcome =
+  match ctx.eng.tracer with
+  | None -> ()
+  | Some tc ->
+      let t1 = Obs.Clock.now ctx.eng.clk in
+      (match outcome with
+      | Ok _ -> ()
+      | Error r ->
+          Obs.Trace.instant tc.tr ~tid:ctx.worker ~cat:"item" ~name:"skipped"
+            ~ts:t1
+            ~args:
+              ([
+                 ("subject", Json.String subject);
+                 ("class", Json.String (skip_class_name r.sr_class));
+                 ("attempts", Json.Int r.sr_attempts);
+               ]
+              @ trace_args ctx));
+      Obs.Trace.complete tc.tr ~tid:ctx.worker ~cat:"item" ~name:subject ~ts:t0
+        ~dur:(t1 -. t0)
+        ~args:
+          (("worker", Json.Int ctx.worker)
+          :: span_ids ctx.batch_span ctx.item_span)
+
+let trace_stage ctx tc ~stage ~subject ~t0 ~dur args =
+  Obs.Trace.complete tc.tr ~tid:ctx.worker ~cat:"stage" ~name:(stage_name stage)
+    ~ts:t0 ~dur
+    ~args:
+      ((("subject", Json.String subject) :: ("worker", Json.Int ctx.worker)
+        :: args)
+      @ span_ids ctx.item_span ctx.stage_span);
+  ctx.stage_span <- None
+
 let emit_from ctx ev =
+  (match ctx.eng.tracer with Some tc -> trace_event ctx tc ev | None -> ());
   match ctx.sink with
   | None -> emit ctx.eng ev
   | Some slot -> slot.s_events <- ev :: slot.s_events
@@ -319,6 +434,10 @@ let timed_stage ctx ~stage ~subject ?api_calls ?steps ?retries f =
   let sample = function Some reader -> reader () | None -> 0 in
   let worker = ctx.worker in
   ctx.last_stage <- Some stage;
+  (match ctx.item_span with
+  | None -> ()
+  | Some i -> ctx.stage_span <- Some (Obs.Trace.child i ~index:ctx.stages));
+  ctx.stages <- ctx.stages + 1;
   emit_from ctx (Stage_started { stage; subject; worker });
   let api0 = sample api_calls
   and steps0 = sample steps
@@ -338,11 +457,26 @@ let timed_stage ctx ~stage ~subject ?api_calls ?steps ?retries f =
       | None -> apply_agg ctx.eng stage timing
       | Some slot -> slot.s_aggs <- (stage, timing) :: slot.s_aggs);
       emit_from ctx (Stage_finished { stage; subject; timing; worker });
+      (match ctx.eng.tracer with
+      | None -> ()
+      | Some tc ->
+          trace_stage ctx tc ~stage ~subject ~t0 ~dur:timing.t_elapsed
+            [
+              ("api_calls", Json.Int timing.t_api_calls);
+              ("steps", Json.Int timing.t_steps);
+              ("retries", Json.Int timing.t_retries);
+            ]);
       ctx.last_stage <- None;
       v
   | exception e ->
-      emit_from ctx
-        (Stage_errored { stage; subject; message = Printexc.to_string e; worker });
+      let message = Printexc.to_string e in
+      emit_from ctx (Stage_errored { stage; subject; message; worker });
+      (match ctx.eng.tracer with
+      | None -> ()
+      | Some tc ->
+          trace_stage ctx tc ~stage ~subject ~t0
+            ~dur:(Obs.Clock.now ctx.eng.clk -. t0)
+            [ ("error", Json.String message) ]);
       raise e
 
 let submit t items = List.iter (fun i -> Queue.add i t.queue) items
@@ -400,8 +534,6 @@ let requeue ?(classes = [ Transient; Budget_exhausted; Worker_crashed ]) t =
   List.iter (fun r -> Queue.add r.sk_item t.queue) take;
   List.length take
 
-let requeue_transients t = requeue t
-
 (* An exception that escapes [process] without its own classification is a
    permanent failure of whatever stage the item last entered. *)
 let reason_of_exn ctx e =
@@ -442,124 +574,45 @@ let record_of ~subject reason item =
 (* Sequential batch (domains = 1): the reference code path              *)
 (* ------------------------------------------------------------------ *)
 
-let sequential_batch t n =
-  for _ = 1 to n do
+let sequential_batch t ~batch_span n =
+  for index = 0 to n - 1 do
     let item = Queue.pop t.queue in
     let subject = t.subject_of item in
-    let ctx = { eng = t; worker = 0; sink = None; last_stage = None } in
-    let skip reason =
-      t.skipped_rev <- record_of ~subject reason item :: t.skipped_rev;
-      note_failure t subject;
-      emit t
-        (Item_skipped
-           {
-             subject;
-             message = reason.sr_message;
-             fault_class = reason.sr_class;
-             attempts = reason.sr_attempts;
-             worker = 0;
-           })
+    let ctx = item_ctx t ~worker:0 ~sink:None ~batch_span index in
+    let t0 = item_start t in
+    let outcome =
+      match
+        maybe_kill t subject;
+        t.process ctx item
+      with
+      | r -> r
+      | exception e when is_fatal e ->
+          (* The sequential path is its own supervisor: the "worker" is
+             the coordinator, so the crash demotes to a dead letter in
+             place and the loop moves on — the same observable outcome
+             the parallel supervisor produces. *)
+          t.crashes <- t.crashes + 1;
+          Error (crash_reason ctx e)
+      | exception e -> Error (reason_of_exn ctx e)
     in
-    match
-      maybe_kill t subject;
-      t.process ctx item
-    with
+    trace_item ctx ~subject ~t0 outcome;
+    match outcome with
     | Ok res ->
         t.results_rev <- res :: t.results_rev;
         t.processed <- t.processed + 1
-    | Error reason -> skip reason
-    | exception e when is_fatal e ->
-        (* The sequential path is its own supervisor: the "worker" is the
-           coordinator, so the crash demotes to a dead letter in place and
-           the loop moves on — the same observable outcome the parallel
-           supervisor produces. *)
-        t.crashes <- t.crashes + 1;
-        skip (crash_reason ctx e)
-    | exception e -> skip (reason_of_exn ctx e)
+    | Error reason ->
+        t.skipped_rev <- record_of ~subject reason item :: t.skipped_rev;
+        note_failure t subject;
+        emit t
+          (Item_skipped
+             {
+               subject;
+               message = reason.sr_message;
+               fault_class = reason.sr_class;
+               attempts = reason.sr_attempts;
+               worker = 0;
+             })
   done
-
-(* ------------------------------------------------------------------ *)
-(* The closeable task channel (service work queues, e.g. the daemon)    *)
-(* ------------------------------------------------------------------ *)
-
-(* A multi-producer/multi-consumer closeable channel.  [pop] blocks until
-   an element is available or the channel is closed and drained.  The
-   batch scheduler below no longer consumes this — its handoff is a
-   lock-free chunk dispenser — but long-lived consumer pools (the serve
-   daemon's connection workers) still do.
-
-   Waking strategy: [push] wakes exactly one sleeper ([Condition.signal]
-   — one new element can satisfy at most one consumer, and a broadcast
-   would stampede every idle worker through the mutex for a single
-   element); [push_many] wakes one sleeper per element, coalesced into a
-   broadcast when several arrive at once; only [close] broadcasts, since
-   every blocked consumer must observe the close and give up. *)
-module Chan = struct
-  type 'a t = {
-    mutex : Mutex.t;
-    nonempty : Condition.t;
-    q : 'a Queue.t;
-    mutable closed : bool;
-  }
-
-  let create () =
-    {
-      mutex = Mutex.create ();
-      nonempty = Condition.create ();
-      q = Queue.create ();
-      closed = false;
-    }
-
-  let push t x =
-    Mutex.lock t.mutex;
-    Queue.add x t.q;
-    Condition.signal t.nonempty;
-    Mutex.unlock t.mutex
-
-  let push_many t xs =
-    match xs with
-    | [] -> ()
-    | [ x ] -> push t x
-    | _ ->
-        Mutex.lock t.mutex;
-        List.iter (fun x -> Queue.add x t.q) xs;
-        Condition.broadcast t.nonempty;
-        Mutex.unlock t.mutex
-
-  let close t =
-    Mutex.lock t.mutex;
-    t.closed <- true;
-    Condition.broadcast t.nonempty;
-    Mutex.unlock t.mutex
-
-  let pop t =
-    Mutex.lock t.mutex;
-    let rec await () =
-      if not (Queue.is_empty t.q) then Some (Queue.pop t.q)
-      else if t.closed then None
-      else begin
-        Condition.wait t.nonempty t.mutex;
-        await ()
-      end
-    in
-    let r = await () in
-    Mutex.unlock t.mutex;
-    r
-
-  let pop_opt t =
-    Mutex.lock t.mutex;
-    let r = if Queue.is_empty t.q then None else Some (Queue.pop t.q) in
-    Mutex.unlock t.mutex;
-    r
-
-  let length t =
-    Mutex.lock t.mutex;
-    let n = Queue.length t.q in
-    Mutex.unlock t.mutex;
-    n
-end
-
-module Task_channel = Chan
 
 (* Partition the batch's item indices into ordered chains.  Items sharing a
    group key form one chain, processed sequentially by a single worker in
@@ -584,23 +637,30 @@ let group_indices t items n =
       done;
       List.rev_map (fun r -> List.rev !r) !order
 
-let run_item t slot item =
+let run_item t ~batch_span slot item =
   let ctx =
-    { eng = t; worker = slot.s_worker; sink = Some slot; last_stage = None }
+    item_ctx t ~worker:slot.s_worker ~sink:(Some slot) ~batch_span
+      slot.s_index
+  in
+  let subject = t.subject_of item in
+  let t0 = item_start t in
+  let finish outcome =
+    slot.s_outcome <- Some outcome;
+    trace_item ctx ~subject ~t0 outcome
   in
   match
-    maybe_kill t (t.subject_of item);
+    maybe_kill t subject;
     t.process ctx item
   with
-  | r -> slot.s_outcome <- Some r
+  | r -> finish r
   | exception e when is_fatal e ->
       (* The dying worker files its own death certificate: outcome and
          stage attribution land in the slot before the exception tears the
          domain down, so the supervisor only has to respawn a domain and
          reschedule the rest of the chain. *)
-      slot.s_outcome <- Some (Error (crash_reason ctx e));
+      finish (Error (crash_reason ctx e));
       raise e
-  | exception e -> slot.s_outcome <- Some (Error (reason_of_exn ctx e))
+  | exception e -> finish (Error (reason_of_exn ctx e))
 
 (* ------------------------------------------------------------------ *)
 (* Parallel batch: chunked dispenser + per-worker stealing deques       *)
@@ -661,35 +721,45 @@ end
 
 (* Per-run helper pool.  Spawning a domain costs on the order of a
    millisecond — per batch that dwarfs the work at small batch sizes — so
-   [run] spawns the helpers once and parks them on a channel of batch
-   thunks between barriers.  Thunks are self-supervising (a fatal
-   exception never reaches the pool loop: the "crashed" worker resumes
-   its chain suffix in place, exactly what a respawned domain would have
-   done), so pool domains live for the whole run. *)
+   [run] spawns the helpers once and parks each on its own semaphore
+   between barriers.  A batch hands helper [k] one thunk in its slot
+   ([None] tells it to exit); every helper acknowledges on [pl_done].
+   Thunks are self-supervising (a fatal exception never reaches the pool
+   loop: the "crashed" worker resumes its chain suffix in place, exactly
+   what a respawned domain would have done), so pool domains live for the
+   whole run. *)
 type pool = {
-  pl_work : (unit -> unit) Chan.t;
-  pl_done : unit Chan.t;
+  pl_slots : (unit -> unit) option array;
+  pl_go : Semaphore.Binary.t array;
+  pl_done : Semaphore.Counting.t;
   pl_domains : unit Domain.t list;
 }
 
 let create_pool k =
-  let pl_work = Chan.create () in
-  let pl_done = Chan.create () in
-  let rec worker () =
-    match Chan.pop pl_work with
+  let pl_slots = Array.make k None in
+  let pl_go = Array.init k (fun _ -> Semaphore.Binary.make false) in
+  let pl_done = Semaphore.Counting.make 0 in
+  let rec helper i () =
+    Semaphore.Binary.acquire pl_go.(i);
+    match pl_slots.(i) with
     | None -> ()
     | Some thunk ->
         thunk ();
-        Chan.push pl_done ();
-        worker ()
+        Semaphore.Counting.release pl_done;
+        helper i ()
   in
-  { pl_work; pl_done; pl_domains = List.init k (fun _ -> Domain.spawn worker) }
+  let pl_domains = List.init k (fun i -> Domain.spawn (helper i)) in
+  { pl_slots; pl_go; pl_done; pl_domains }
+
+let dispatch pool i thunk =
+  pool.pl_slots.(i) <- thunk;
+  Semaphore.Binary.release pool.pl_go.(i)
 
 let destroy_pool pool =
-  Chan.close pool.pl_work;
+  Array.iteri (fun i _ -> dispatch pool i None) pool.pl_slots;
   List.iter Domain.join pool.pl_domains
 
-let parallel_batch t pool n =
+let parallel_batch t pool ~batch_span n =
   let items = Array.init n (fun _ -> Queue.pop t.queue) in
   let chains = Array.of_list (group_indices t items n) in
   let nchains = Array.length chains in
@@ -731,7 +801,7 @@ let parallel_batch t pool n =
           (* Published before the item runs, so a crash mid-item leaves
              the death certificate reachable from the worker's buffer. *)
           buffers.(wid) <- slot :: buffers.(wid);
-          run_item t slot items.(i);
+          run_item t ~batch_span slot items.(i);
           go rest
     in
     go idxs
@@ -802,14 +872,15 @@ let parallel_batch t pool n =
     in
     attempt []
   in
-  Chan.push_many pool.pl_work
-    (List.init helper_count (fun k () -> self_supervised (k + 1)));
+  for k = 0 to helper_count - 1 do
+    dispatch pool k (Some (fun () -> self_supervised (k + 1)))
+  done;
   self_supervised 0;
   (* Batch barrier: every dispatched thunk acknowledges completion, so
      once the loop exits no worker can still be touching the shard-local
      buffers. *)
   for _ = 1 to helper_count do
-    ignore (Chan.pop pool.pl_done)
+    Semaphore.Counting.acquire pool.pl_done
   done;
   t.crashes <- t.crashes + Array.fold_left ( + ) 0 crash_counts;
   (* Single deterministic merge at the batch barrier: reassemble the
@@ -857,38 +928,42 @@ let parallel_batch t pool n =
           | None -> assert false))
     slots
 
-let step_batch_with ?pool t =
+(* One batch from the queue head, fanned across [pool] when there is one;
+   [false] when the queue was empty. *)
+let step_batch t pool ~run_span =
   if Queue.is_empty t.queue then false
   else begin
     let n = min t.bsize (Queue.length t.queue) in
     let index = t.batches in
     emit t (Batch_started { index; size = n });
+    let batch_span = Option.map (fun r -> Obs.Trace.child r ~index) run_span in
     let t0 = Obs.Clock.now t.clk in
-    (if t.n_domains <= 1 then sequential_batch t n
-     else
-       match pool with
-       | Some p -> parallel_batch t p n
-       | None ->
-           (* Standalone single-batch step: a short-lived pool of our
-              own.  [run] amortizes this spawn cost across the whole
-              run by passing a persistent pool instead. *)
-           let p = create_pool (t.n_domains - 1) in
-           Fun.protect
-             ~finally:(fun () -> destroy_pool p)
-             (fun () -> parallel_batch t p n));
+    (match pool with
+    | None -> sequential_batch t ~batch_span n
+    | Some p -> parallel_batch t p ~batch_span n);
     t.batches <- t.batches + 1;
-    emit t
-      (Batch_finished { index; size = n; elapsed = Obs.Clock.now t.clk -. t0 });
+    let elapsed = Obs.Clock.now t.clk -. t0 in
+    emit t (Batch_finished { index; size = n; elapsed });
+    (match t.tracer with
+    | None -> ()
+    | Some tc ->
+        Obs.Trace.complete tc.tr ~cat:"batch"
+          ~name:(Printf.sprintf "batch-%d" index)
+          ~ts:t0 ~dur:elapsed
+          ~args:(("size", Json.Int n) :: span_ids run_span batch_span));
     true
   end
 
-let step_batch t = step_batch_with t
-
 let run ?max_batches t =
-  emit t
-    (Run_started
-       { pending = pending t; batch_size = t.bsize; domains = t.n_domains });
+  let pending = pending t in
+  emit t (Run_started { pending; batch_size = t.bsize; domains = t.n_domains });
   let t0 = Obs.Clock.now t.clk in
+  let parent =
+    match t.tracer with None -> None | Some tc -> tc.parent ()
+  in
+  let run_span =
+    Option.map (fun p -> Obs.Trace.child p ~index:t.batches) parent
+  in
   let continue = function None -> true | Some n -> n > 0 in
   let pool =
     if t.n_domains > 1 then Some (create_pool (t.n_domains - 1)) else None
@@ -897,17 +972,24 @@ let run ?max_batches t =
     ~finally:(fun () -> Option.iter destroy_pool pool)
     (fun () ->
       let rec loop budget =
-        if continue budget && step_batch_with ?pool t then
+        if continue budget && step_batch t pool ~run_span then
           loop (Option.map (fun n -> n - 1) budget)
       in
       loop max_batches);
-  emit t
-    (Run_finished
-       {
-         processed = t.processed;
-         skipped = List.length t.skipped_rev;
-         elapsed = Obs.Clock.now t.clk -. t0;
-       })
+  let processed = t.processed and skipped = List.length t.skipped_rev in
+  let elapsed = Obs.Clock.now t.clk -. t0 in
+  emit t (Run_finished { processed; skipped; elapsed });
+  match t.tracer with
+  | None -> ()
+  | Some tc ->
+      Obs.Trace.complete tc.tr ~cat:"run" ~name:"run" ~ts:t0 ~dur:elapsed
+        ~args:
+          ([
+             ("pending", Json.Int pending);
+             ("processed", Json.Int processed);
+             ("skipped", Json.Int skipped);
+           ]
+          @ span_ids parent run_span)
 
 let stage_totals t =
   List.filter_map
@@ -1105,13 +1187,6 @@ let restore ?batch_size ?domains ?key ?crash_plan ?attempt_ceiling ?clock
     List.iter (fun (s, n) -> Hashtbl.replace t.fail_counts s n) failures;
     Ok (t, extra)
 
-(* [restore] under its hardening-contract name: total over arbitrary JSON,
-   every malformed shape comes back as [Error _], never an exception. *)
-let of_json ?batch_size ?domains ?key ?crash_plan ?attempt_ceiling ?clock
-    ~subject ~process ~item_of_json ~res_of_json json =
-  restore ?batch_size ?domains ?key ?crash_plan ?attempt_ceiling ?clock
-    ~subject ~process ~item_of_json ~res_of_json json
-
 (* ------------------------------------------------------------------ *)
 (* Telemetry: event-stream adapters for the obs layer                   *)
 (* ------------------------------------------------------------------ *)
@@ -1231,113 +1306,7 @@ module Telemetry = struct
           Obs.Metrics.hset crashes_h (float_of_int (crashes t));
           Obs.Metrics.hset processed_h (float_of_int p))
 
-  (* Coordinator-lane span tree on tid 0, driven by a synthetic cursor
-     advanced by event-payload durations: run > batch > item > stage.
-     The tree's *shape* is deterministic across DOMAINS (events arrive in
-     input order); only the durations carry wall-clock noise.  Worker ids
-     surface as span args, not separate tracks, precisely because the
-     merged stream no longer reflects real concurrency. *)
-  let attach_trace tr t =
-    let cursor = ref 0.0 in
-    let run_start = ref 0.0 in
-    let batch_start = ref 0.0 in
-    let item_start = ref 0.0 in
-    let current_item = ref None in
-    let flush_item () =
-      match !current_item with
-      | None -> ()
-      | Some subject ->
-          Obs.Trace.complete tr ~cat:"item" ~name:subject ~ts:!item_start
-            ~dur:(!cursor -. !item_start);
-          current_item := None
-    in
-    let open_item subject =
-      match !current_item with
-      | Some s when s = subject -> ()
-      | _ ->
-          flush_item ();
-          current_item := Some subject;
-          item_start := !cursor
-    in
-    subscribe t (function
-      | Run_started { pending; batch_size; domains } ->
-          run_start := !cursor;
-          Obs.Trace.instant tr ~cat:"run" ~name:"run-started" ~ts:!cursor
-            ~args:
-              [
-                ("pending", Json.Int pending);
-                ("batch_size", Json.Int batch_size);
-                ("domains", Json.Int domains);
-              ]
-      | Batch_started _ -> batch_start := !cursor
-      | Batch_finished { index; size; elapsed } ->
-          flush_item ();
-          Obs.Trace.complete tr ~cat:"batch"
-            ~name:(Printf.sprintf "batch-%d" index)
-            ~ts:!batch_start
-            ~dur:(!cursor -. !batch_start)
-            ~args:
-              [ ("size", Json.Int size); ("wall_elapsed", Json.Float elapsed) ]
-      | Stage_started { subject; _ } -> open_item subject
-      | Stage_finished { stage; subject; timing; worker } ->
-          open_item subject;
-          Obs.Trace.complete tr ~cat:"stage" ~name:(stage_name stage)
-            ~ts:!cursor ~dur:timing.t_elapsed
-            ~args:
-              [
-                ("subject", Json.String subject);
-                ("worker", Json.Int worker);
-                ("api_calls", Json.Int timing.t_api_calls);
-                ("steps", Json.Int timing.t_steps);
-                ("retries", Json.Int timing.t_retries);
-              ];
-          cursor := !cursor +. timing.t_elapsed
-      | Stage_errored { stage; subject; message; _ } ->
-          Obs.Trace.instant tr ~cat:"stage" ~name:(stage_name stage ^ "-error")
-            ~ts:!cursor
-            ~args:
-              [
-                ("subject", Json.String subject);
-                ("message", Json.String message);
-              ]
-      | Retry_attempted { subject; attempt; reason; delay; _ } ->
-          Obs.Trace.instant tr ~cat:"rpc" ~name:"retry" ~ts:!cursor
-            ~args:
-              [
-                ("subject", Json.String subject);
-                ("attempt", Json.Int attempt);
-                ("reason", Json.String reason);
-                ("delay", Json.Float delay);
-              ]
-      | Circuit_opened { endpoint; failures; _ } ->
-          Obs.Trace.instant tr ~cat:"rpc" ~name:"circuit-opened" ~ts:!cursor
-            ~args:
-              [
-                ("endpoint", Json.String endpoint);
-                ("failures", Json.Int failures);
-              ]
-      | Circuit_closed { endpoint; _ } ->
-          Obs.Trace.instant tr ~cat:"rpc" ~name:"circuit-closed" ~ts:!cursor
-            ~args:[ ("endpoint", Json.String endpoint) ]
-      | Item_skipped { subject; fault_class; attempts; _ } ->
-          flush_item ();
-          Obs.Trace.instant tr ~cat:"item" ~name:"skipped" ~ts:!cursor
-            ~args:
-              [
-                ("subject", Json.String subject);
-                ("class", Json.String (skip_class_name fault_class));
-                ("attempts", Json.Int attempts);
-              ]
-      | Run_finished { processed; skipped; elapsed } ->
-          flush_item ();
-          Obs.Trace.complete tr ~cat:"run" ~name:"run" ~ts:!run_start
-            ~dur:(!cursor -. !run_start)
-            ~args:
-              [
-                ("processed", Json.Int processed);
-                ("skipped", Json.Int skipped);
-                ("wall_elapsed", Json.Float elapsed);
-              ])
+  let attach_trace ~parent tr t = t.tracer <- Some { tr; parent }
 
   (* Structured progress backend.  Retry and breaker events are counted
      and summarized once per batch — one stderr line per attempt floods

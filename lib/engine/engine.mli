@@ -81,7 +81,7 @@ type timing = {
     Why an item failed decides what happens to it next: [Transient]
     failures (rate limits, timeouts, node errors that outlived the retry
     budget) and [Budget_exhausted] ones (a per-item call/step budget ran
-    out) are recoverable — {!requeue_transients} sends them around again;
+    out) are recoverable — {!requeue} sends them around again;
     [Permanent] failures (malformed input, logic errors) are not.
     [Worker_crashed] marks an item whose worker domain died under it
     (fatal exception or injected kill); it is recoverable — the crash is
@@ -266,6 +266,13 @@ val worker_id : ('item, 'res) ctx -> int
 (** Id of the worker running this item: 0 on the sequential path and the
     coordinator, 1..domains-1 on helper domains. *)
 
+val trace_args : ('item, 'res) ctx -> (string * Report.Json.t) list
+(** The args joining a leaf span recorded while this item runs (an RPC
+    attempt, an EVM frame) to the live span tree: the request's
+    [trace_id] and, as [parent_span_id], the current stage's span — the
+    item's between stages.  Empty unless a tracer is attached and a
+    request context is live (see {!Telemetry.attach_trace}). *)
+
 val current_stage : ('item, 'res) ctx -> stage option
 (** The stage the item is currently inside (set by {!timed_stage} on
     entry, cleared on success) — what exception-path skip records are
@@ -301,19 +308,16 @@ val batch_size : ('item, 'res) t -> int
 val domains : ('item, 'res) t -> int
 val batches_done : ('item, 'res) t -> int
 
-val step_batch : ('item, 'res) t -> bool
-(** Process one batch from the queue head.  [false] when the queue was
-    empty.  Items whose [process] raises or returns [Error] are recorded
-    in the dead-letter list — with [Stage_errored]/[Item_skipped] events
-    — instead of aborting the batch.  With [domains > 1] the batch is
-    fanned across the worker pool and merged in input order before this
-    returns; the batch boundary is therefore also the parallel barrier,
-    and checkpoints taken between batches are identical to sequential
-    ones. *)
-
 val run : ?max_batches:int -> ('item, 'res) t -> unit
-(** Drain the queue ([max_batches] bounds how many batches this call may
-    process — the interruption point a checkpoint naturally follows). *)
+(** Drain the queue batch by batch ([max_batches] bounds how many
+    batches this call may process — the interruption point a checkpoint
+    naturally follows).  Items whose [process] raises or returns [Error]
+    are recorded in the dead-letter list — with
+    [Stage_errored]/[Item_skipped] events — instead of aborting the
+    batch.  With [domains > 1] each batch is fanned across the worker
+    pool and merged in input order before the next starts; the batch
+    boundary is therefore also the parallel barrier, and checkpoints
+    taken between batches are identical to sequential ones. *)
 
 val results : ('item, 'res) t -> 'res list
 (** Completed results in completion order (= submission order). *)
@@ -359,9 +363,6 @@ val requeue : ?classes:skip_class list -> ('item, 'res) t -> int
     regardless of class.  A subsequent {!run} retries the moved ones;
     entries that fail again are re-recorded (with fresh attempt
     counts). *)
-
-val requeue_transients : ('item, 'res) t -> int
-(** [requeue t] with the default classes. *)
 
 (** {1 Per-stage aggregates} *)
 
@@ -412,74 +413,24 @@ val restore :
     returns it together with the [extra] payload ([Report.Json.Null] when
     absent).  [batch_size] overrides the checkpointed one when given;
     [domains], [key], [crash_plan] and [attempt_ceiling] configure the
-    resumed engine exactly as in {!create}. *)
+    resumed engine exactly as in {!create}.
 
-val of_json :
-  ?batch_size:int ->
-  ?domains:int ->
-  ?key:('item -> string) ->
-  ?crash_plan:crash_plan ->
-  ?attempt_ceiling:int ->
-  ?clock:Obs.Clock.t ->
-  subject:('item -> string) ->
-  process:(('item, 'res) ctx -> 'item -> ('res, skip_reason) result) ->
-  item_of_json:(Report.Json.t -> ('item, string) result) ->
-  res_of_json:(Report.Json.t -> ('res, string) result) ->
-  Report.Json.t ->
-  (('item, 'res) t * Report.Json.t, string) result
-(** {!restore} under its hardening-contract name: total over arbitrary
-    JSON input.  Every truncation or corruption of a checkpoint —
-    missing fields, wrong types, unknown stage/class names, unsupported
-    versions — comes back as [Error _]; no input makes it raise.
-    (Caller-supplied [item_of_json]/[res_of_json] must uphold the same
-    contract for their fragments.) *)
-
-(** {1 Task channel}
-
-    A multi-producer/multi-consumer closeable channel for long-lived
-    domain-parallel accept loops (the query daemon feeds client
-    connections to worker domains through one; the batch scheduler
-    itself now dispatches through a lock-free chunk cursor instead).
-    [pop] blocks until an element arrives or the channel has been closed
-    {e and} drained: a close never drops queued elements — consumers
-    drain everything in flight before their [pop] returns [None].
-
-    Waking is deliberately minimal: [push] signals exactly one sleeping
-    consumer (one element can satisfy at most one of them — a broadcast
-    would stampede the whole idle pool through the mutex), [push_many]
-    coalesces the wakeups for a burst, and only [close] broadcasts,
-    because every blocked consumer must observe it. *)
-module Task_channel : sig
-  type 'a t
-
-  val create : unit -> 'a t
-  val push : 'a t -> 'a -> unit
-
-  val push_many : 'a t -> 'a list -> unit
-  (** Enqueue a burst under one lock acquisition; wakes one sleeper per
-      element, coalesced into a single broadcast when several arrive. *)
-
-  val close : 'a t -> unit
-  (** Idempotent; wakes every blocked [pop]. *)
-
-  val pop : 'a t -> 'a option
-  (** Block for the next element; [None] once closed and empty. *)
-
-  val pop_opt : 'a t -> 'a option
-  (** Non-blocking variant: [None] when currently empty. *)
-
-  val length : 'a t -> int
-end
+    Total over arbitrary JSON input: every truncation or corruption of a
+    checkpoint — missing fields, wrong types, unknown stage/class names,
+    unsupported versions — comes back as [Error _]; no input makes it
+    raise.  (Caller-supplied [item_of_json]/[res_of_json] must uphold the
+    same contract for their fragments.) *)
 
 (** {1 Telemetry}
 
-    Adapters from the engine {!event} stream to the obs layer.  All three
-    subscribe on the coordinator, where the deterministic merge has
-    already serialized worker-side events into input order — so metric
-    updates (including float backoff sums) happen in the exact order a
-    sequential run would produce, and registry snapshots are
+    Two ways to observe a run.  The metric and log adapters subscribe to
+    the {!event} stream on the coordinator, where the deterministic merge
+    has already serialized worker-side events into input order — so
+    metric updates (including float backoff sums) happen in the exact
+    order a sequential run would produce, and registry snapshots are
     byte-identical across [domains] counts once volatile (wall-clock)
-    families are suppressed. *)
+    families are suppressed.  Spans are not built from that stream: a
+    tracer records them live, where the work happens. *)
 module Telemetry : sig
   val instrument : Obs.Metrics.t -> ('item, 'res) t -> unit
   (** Register the [proxion_*] metric families (stage runs/latency/API
@@ -488,12 +439,23 @@ module Telemetry : sig
       subscribe a recorder for them.  Wall-clock-derived families are
       registered volatile. *)
 
-  val attach_trace : Obs.Trace.t -> ('item, 'res) t -> unit
-  (** Subscribe a span builder: a run > batch > item > stage tree on
-      track 0, timestamped by a synthetic cursor advanced with
-      event-payload durations (worker ids appear as span args — the
-      merged stream no longer reflects real concurrency), plus instant
-      events for retries, breaker flips, stage errors and skips. *)
+  val attach_trace :
+    parent:(unit -> Obs.Trace.ctx option) ->
+    Obs.Trace.t ->
+    ('item, 'res) t ->
+    unit
+  (** Record live spans into the collector from now on: per {!run} a
+      [run] span and a [batch-<i>] span per batch on track 0; per item an
+      [item] span (named by its subject) and a [stage] span per stage on
+      the track of the worker that ran it (0 = the coordinator).  They
+      are stamped on the engine's {!clock} from the brackets it already
+      takes, plus two reads around each item; retry, breaker,
+      stage-error and skip instants are recorded where they happen.
+      While [parent] (read once per run) returns a request context, every
+      span carries [trace_id]/[span_id]/[parent_span_id] args derived
+      with {!Obs.Trace.child} from it, the batch index, the input
+      position and the stage ordinal — so the tree joins the request in
+      {!Obs.Trace.span_tree_json}. *)
 
   val attach_log : Obs.Log.t -> ('item, 'res) t -> unit
   (** Subscribe the structured progress backend: run/batch lines at

@@ -1,12 +1,16 @@
-(** Wall-clock abstraction for every timing the telemetry layer takes.
+(** The one clock abstraction: every timing the system takes and every
+    wait it simulates goes through a [t].
 
-    Production code reads {!real} (a thin wrapper over
-    [Unix.gettimeofday]); tests substitute a {e virtual} clock whose
-    reads are a pure function of how often it has been read and how far
-    it has been advanced, so stage timings, batch durations and log
-    timestamps can be pinned to exact, reproducible values.  The
-    distinction mirrors {!Resilience.Vclock} (which virtualizes {e
-    waiting}); this module virtualizes {e observation}. *)
+    Production timing reads {!real} (a thin wrapper over
+    [Unix.gettimeofday]).  A {e virtual} clock's reads are a pure
+    function of how often it has been read and how far it has been
+    advanced, which serves two purposes:
+    - {e observation}: tests pin stage timings, batch durations and log
+      timestamps to exact, reproducible values;
+    - {e waiting}: the resilience layer (retry backoff, injected
+      latency, circuit-breaker cooldowns) "sleeps" with {!advance}
+      instead of blocking, so a fault-injected run costs no wall-clock
+      time and replays identically on any machine. *)
 
 type t
 
@@ -28,6 +32,7 @@ val now : t -> float
 
 val advance : t -> float -> unit
 (** Move a virtual clock forward by a non-negative delta (negative
-    deltas are ignored).  No-op on {!real}. *)
+    deltas are ignored) — the only "sleep" the system performs.  No-op
+    on {!real}. *)
 
 val is_virtual : t -> bool

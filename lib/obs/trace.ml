@@ -161,10 +161,6 @@ let start_span ?(tid = 0) ?(cat = "request") ?parent ?parent_ctx ?ctx t name =
   }
 
 let span_ctx sp = sp.sp_ctx
-let next_child_index sp =
-  let index = sp.sp_children in
-  sp.sp_children <- index + 1;
-  index
 
 let finish_span ?(args = []) sp =
   if not sp.sp_finished then begin
@@ -176,24 +172,32 @@ let finish_span ?(args = []) sp =
       ~dur:(Clock.now t.clock -. sp.sp_ts)
   end
 
-let micros s =
-  (* Timestamps are whole microseconds where possible so the JSON stays
-     integer-valued and byte-stable; fractional values are kept exact —
-     Perfetto accepts them, and the nesting invariants (span end inside
-     parent) would break under rounding. *)
-  let us = s *. 1e6 in
+(* Timestamps are whole microseconds where possible so the JSON stays
+   integer-valued and byte-stable; fractional values are kept exact —
+   Perfetto accepts them, and the nesting invariants (span end inside
+   parent) would break under rounding. *)
+let us_json us =
   if Float.is_integer us && Float.abs us < 1e15 then Json.Int (int_of_float us)
   else Json.Float us
 
+let micros s = us_json (s *. 1e6)
+
 let event_json ev =
+  (* [dur] is the difference of the two converted endpoints, so a reader
+     summing ts + dur gets exactly the converted end: at wall-clock
+     magnitudes (~1e15 us) converting the start and the duration apart
+     would round a child's end past its parent's. *)
+  let ts = ev.ev_ts *. 1e6 in
   Json.Obj
     ([
        ("name", Json.String ev.ev_name);
        ("cat", Json.String ev.ev_cat);
        ("ph", Json.String ev.ev_phase);
-       ("ts", micros ev.ev_ts);
+       ("ts", us_json ts);
      ]
-    @ (if ev.ev_phase = "X" then [ ("dur", micros ev.ev_dur) ] else [])
+    @ (if ev.ev_phase = "X" then
+         [ ("dur", us_json (((ev.ev_ts +. ev.ev_dur) *. 1e6) -. ts)) ]
+       else [])
     @ [ ("pid", Json.Int ev.ev_pid); ("tid", Json.Int ev.ev_tid) ]
     @ (if ev.ev_phase = "i" then [ ("s", Json.String "t") ] else [])
     @ match ev.ev_args with [] -> [] | args -> [ ("args", Json.Obj args) ])

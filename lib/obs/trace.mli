@@ -1,17 +1,21 @@
 (** Span tracer exporting Chrome trace-event JSON.
 
-    Collects nested spans (run → batch → item → stage → RPC call / EVM
-    emulation frame) and writes them in the Chrome [traceEvents] format,
-    loadable in [about:tracing] and {{:https://ui.perfetto.dev}Perfetto}.
+    Collects nested spans (request → run → batch → item → stage → RPC
+    call / EVM emulation frame) and writes them in the Chrome
+    [traceEvents] format, loadable in [about:tracing] and
+    {{:https://ui.perfetto.dev}Perfetto}.
 
-    Timestamps are supplied by callers in {e seconds} (the writer
-    converts to the microseconds the format wants).  The engine's
-    telemetry layer drives a {e synthetic} timeline from event-payload
-    durations so the coordinator lanes are deterministic; sampled
-    worker-lane detail (RPC dispatches, EVM frames) uses real clock
-    reads on per-worker tracks.  All recording is thread-safe; events
-    are kept in arrival order with a sequence number so output is stable
-    for a given recording order. *)
+    There is one tracing model: every span is recorded live, where the
+    work happens, stamped in {e seconds} by the recorder's clock (the
+    writer converts to the microseconds the format wants).  With the
+    default {!Clock.real} every span in a collector — daemon requests,
+    engine runs, batches, items and stages, RPC attempts, EVM frames —
+    lies on one wall-clock timeline.  A span's track ([tid]) is the
+    worker that did the work (0 = the coordinator).  Spans recorded
+    under a request context carry [trace_id]/[span_id]/[parent_span_id]
+    args, so a request's tree can be pulled out with
+    {!span_tree_json}.  All recording is thread-safe; events are kept in
+    arrival order with a sequence number. *)
 
 type t
 
@@ -94,12 +98,12 @@ val ctx_args : ?parent:ctx -> ctx -> (string * Report.Json.t) list
 (** The [trace_id]/[span_id] (and [parent_span_id], when [parent] is
     given) argument fields identifying a span. *)
 
-(** {1 Live spans}
+(** {1 Span handles}
 
-    Unlike the engine's post-hoc synthetic timeline, live spans are
-    opened and closed around real work with the collector's clock and
-    carry their context in the span args, so a request's child spans
-    can be joined across processes by [trace_id]. *)
+    A handle for a span opened and closed around work with the
+    collector's clock (the daemon's request spans).  It carries its
+    context in the span args, so a request's child spans can be joined
+    across processes by [trace_id]. *)
 
 type span
 
@@ -120,10 +124,6 @@ val start_span :
     to ["request"]. *)
 
 val span_ctx : span -> ctx
-
-val next_child_index : span -> int
-(** Reserve the next 0-based child slot (for deriving child contexts
-    handed to other subsystems). *)
 
 val finish_span : ?args:(string * Report.Json.t) list -> span -> unit
 (** Record the span as a complete event with its context args ([args]

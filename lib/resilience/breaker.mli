@@ -1,7 +1,7 @@
-(** A per-endpoint circuit breaker over the virtual clock.
+(** A per-endpoint circuit breaker over a virtual {!Obs.Clock}.
 
     Closed -> Open after [failure_threshold] consecutive failures; Open
-    fail-fasts until the cooldown elapses on the {!Vclock}, then
+    fail-fasts until the cooldown elapses on the clock, then
     Half_open admits a single probe: success closes the circuit,
     failure re-opens it with a fresh cooldown.  Because the cooldown is
     virtual, an open circuit never stalls a run — it only spaces probe
@@ -30,7 +30,11 @@ type transition =
 
 type t
 
-val create : ?config:config -> clock:Vclock.t -> endpoint:string -> unit -> t
+val create :
+  ?config:config -> clock:Obs.Clock.t -> endpoint:string -> unit -> t
+(** [clock] should be virtual: {!await_ready} waits by advancing it,
+    which is a no-op on {!Obs.Clock.real}. *)
+
 val state : t -> state
 val endpoint : t -> string
 

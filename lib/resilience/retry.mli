@@ -1,7 +1,7 @@
 (** Retry policy: capped exponential backoff with deterministic jitter.
 
-    Delays are virtual ({!Vclock}) seconds — the transport advances the
-    clock instead of sleeping — and the jitter is a pure function of
+    Delays are virtual seconds — the transport advances its clock
+    instead of sleeping — and the jitter is a pure function of
     [(seed, attempt)], so two runs with the same policy and seeds back
     off identically.  This is the piece that makes "retry until the
     transient clears" compatible with byte-identical chaos replays. *)

@@ -174,7 +174,7 @@ type t = {
   (* server *)
   mutable listen_fd : Unix.file_descr option;
   mutable bound_port : int;
-  chan : Unix.file_descr Engine.Task_channel.t;
+  chan : Unix.file_descr Chan.t;
   mutable listener : unit Domain.t option;
   mutable workers : unit Domain.t list;
   stop_requested : bool Atomic.t;
@@ -485,7 +485,7 @@ let create ?(config = Config.default) ?registry ?log ?trace landscape =
         was_recovered;
         listen_fd = None;
         bound_port = 0;
-        chan = Engine.Task_channel.create ();
+        chan = Chan.create ();
         listener = None;
         workers = [];
         stop_requested = Atomic.make false;
@@ -1343,7 +1343,7 @@ let serve_connection t fd =
 
 let worker_loop t =
   let rec go () =
-    match Engine.Task_channel.pop t.chan with
+    match Chan.pop t.chan with
     | None -> ()
     | Some fd ->
         (if Atomic.get t.draining then begin
@@ -1407,18 +1407,18 @@ let accept_loop t fd =
         else if Atomic.get t.open_conns >= t.cfg.Config.max_conns then
           shed_connection t client ~reason:"max_conns"
         else if
-          Engine.Task_channel.length t.chan >= t.cfg.Config.queue_limit
+          Chan.length t.chan >= t.cfg.Config.queue_limit
         then shed_connection t client ~reason:"queue_full"
         else begin
           let n = Atomic.fetch_and_add t.open_conns 1 + 1 in
           Metrics.set t.registry t.fams.m_open (float_of_int n);
-          Engine.Task_channel.push t.chan client
+          Chan.push t.chan client
         end
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | exception Unix.Unix_error _ -> continue := false
   done;
   (try Unix.close fd with Unix.Unix_error _ -> ());
-  Engine.Task_channel.close t.chan
+  Chan.close t.chan
 
 let port t = t.bound_port
 
@@ -1469,7 +1469,7 @@ let stop t =
         Domain.join d;
         t.listener <- None;
         t.listen_fd <- None
-    | None -> Engine.Task_channel.close t.chan);
+    | None -> Chan.close t.chan);
     (* Grace window: workers finish (or deadline-out) their in-flight
        requests and drain any queued connections, each answered with a
        structured shed error.  Past the grace, the hard stop flag cuts

@@ -4,7 +4,7 @@
     the results hot in a {!Store}, and answers wire-protocol queries
     ({!Wire}, doc/API.md) over TCP at interactive latency: a listener
     domain accepts connections and feeds them through an
-    {!Engine.Task_channel} to a pool of worker domains, each serving
+    {!Chan} to a pool of worker domains, each serving
     its connection request-by-request.
 
     {b Incremental watch mode.}  {!advance} applies the next scripted
@@ -148,8 +148,9 @@ val create :
     landscape must be freshly generated from the same generation config
     across restarts — recovery replays the snapshot's advances onto it
     to reproduce the chain state.  [trace] attaches a span collector:
-    request spans plus the RPC/EVM worker-lane detail of traced
-    analyses land in it (write it out with {!Obs.Trace.write}). *)
+    request spans and the live spans of every analysis (run, batch,
+    item, stage, RPC attempt, EVM frame) land in it, on one timeline
+    (write it out with {!Obs.Trace.write}). *)
 
 val recovered : t -> bool
 (** Whether {!create} restored from a journal snapshot instead of

@@ -9,6 +9,7 @@
     - {!Daemon}: the server itself — accept loop, worker domains,
       incremental increments, journal snapshots, Obs wiring.
     - {!Client}/{!Loadgen}: the thin client and the benchmark driver.
+    - {!Chan}: the closeable channel feeding connections to workers.
 
     See doc/API.md for the wire protocol specification. *)
 
@@ -20,6 +21,7 @@ module Daemon = Daemon
 module Client = Client
 module Loadgen = Loadgen
 module Ops = Ops
+module Chan = Chan
 
 module Config = Daemon.Config
 (** Re-export: [Serve.Config] is the daemon's builder-style config. *)

@@ -17,7 +17,6 @@ module Transport = Resilience.Transport
 module Fault_plan = Resilience.Fault_plan
 module Retry = Resilience.Retry
 module Breaker = Resilience.Breaker
-module Vclock = Resilience.Vclock
 
 let check_b = Alcotest.(check bool)
 let check_i = Alcotest.(check int)
@@ -103,7 +102,7 @@ let test_fault_plan_drop_window () =
 (* {1 Circuit breaker} *)
 
 let test_breaker_transitions () =
-  let clock = Vclock.create () in
+  let clock = Obs.Clock.virtual_ () in
   let b =
     Breaker.create
       ~config:(Breaker.config ~failure_threshold:3 ~cooldown:2.0 ())
@@ -125,10 +124,10 @@ let test_breaker_transitions () =
   Breaker.record_failure b;
   check_s "threshold trips the circuit" "open"
     (Breaker.state_name (Breaker.state b));
-  let before = Vclock.now clock in
+  let before = Obs.Clock.now clock in
   Breaker.await_ready b;
   check_b "cooldown elapsed on the virtual clock" true
-    (Vclock.now clock >= before +. 2.0);
+    (Obs.Clock.now clock >= before +. 2.0);
   check_s "half-open admits a probe" "half-open"
     (Breaker.state_name (Breaker.state b));
   Breaker.record_failure b;
@@ -410,7 +409,7 @@ let test_dead_letter_checkpoint_roundtrip () =
       check_i "permanent attempts default" 1 b.Engine.sk_attempts
   | l -> Alcotest.failf "expected 2 dead letters, got %d" (List.length l));
   check_i "default requeue moves only the recoverable entry" 1
-    (Engine.requeue_transients restored);
+    (Engine.requeue restored);
   check_i "requeued entry pending" 1 (Engine.pending restored);
   Engine.run restored;
   Alcotest.(check (list int))
@@ -554,7 +553,7 @@ let test_chaos_degrade_and_requeue () =
     | Error e -> Alcotest.failf "restore failed: %s" e
   in
   check_i "every dead letter requeued" (List.length dead)
-    (Proxion.Analyzer.requeue_transients resumed);
+    (Proxion.Analyzer.requeue resumed);
   Proxion.Analyzer.run resumed;
   check_i "no dead letters after the healthy retry" 0
     (List.length (Proxion.Analyzer.skipped resumed));
@@ -608,7 +607,7 @@ let test_chaos_step_budget_degrade () =
   in
   check_i "budget-exhausted entries are in the default requeue classes"
     (List.length dead)
-    (Proxion.Analyzer.requeue_transients resumed);
+    (Proxion.Analyzer.requeue resumed);
   Proxion.Analyzer.run resumed;
   check_i "all complete once the budget is lifted" 0
     (List.length (Proxion.Analyzer.skipped resumed));

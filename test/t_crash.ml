@@ -391,7 +391,7 @@ let test_engine_worker_crash_supervision () =
     (List.mem (Engine.Worker_crashed, 2) (Engine.skipped_by_class t));
   (* the plan kills each subject once: requeue converges *)
   check_i "default requeue recycles worker-crashed entries" 2
-    (Engine.requeue_transients t);
+    (Engine.requeue t);
   Engine.run t;
   check_i "no dead letters after the retry" 0 (List.length (Engine.skipped t));
   check_sl "every item eventually completed"
@@ -412,8 +412,8 @@ let test_engine_crash_schedule_independence () =
   check_s "checkpoint byte-identical across worker counts"
     (engine_checkpoint_string seq)
     (engine_checkpoint_string par);
-  ignore (Engine.requeue_transients seq);
-  ignore (Engine.requeue_transients par);
+  ignore (Engine.requeue seq);
+  ignore (Engine.requeue par);
   Engine.run seq;
   Engine.run par;
   check_s "still byte-identical after requeue and completion"
@@ -470,10 +470,10 @@ let test_engine_attempt_ceiling () =
   Engine.submit t [ 1; 2; 3; 4; 5; 6 ];
   Engine.run t;
   check_i "first failure recorded" 1 (Engine.failure_count t "5");
-  check_i "under the ceiling: requeued" 1 (Engine.requeue_transients t);
+  check_i "under the ceiling: requeued" 1 (Engine.requeue t);
   Engine.run t;
   check_i "second failure recorded" 2 (Engine.failure_count t "5");
-  check_i "at the ceiling: refused" 0 (Engine.requeue_transients t);
+  check_i "at the ceiling: refused" 0 (Engine.requeue t);
   check_i "the poisoned subject stays dead-lettered" 1
     (List.length (Engine.skipped t));
   check_i "healthy subjects unaffected" 5 (List.length (Engine.results t));
@@ -502,10 +502,10 @@ let test_engine_attempt_ceiling () =
   check_i "failure counters survive the round-trip" 2
     (Engine.failure_count restored "5");
   check_i "the restored ceiling still refuses" 0
-    (Engine.requeue_transients restored)
+    (Engine.requeue restored)
 
 (* ------------------------------------------------------------------ *)
-(* Engine.of_json hardening                                            *)
+(* Engine.restore hardening                                            *)
 (* ------------------------------------------------------------------ *)
 
 let hardening_subject = string_of_int
@@ -520,7 +520,7 @@ let hardening_res_of_json = function
   | _ -> Error "not a string"
 
 let hardening_of_json json =
-  Engine.of_json ~subject:hardening_subject ~process:hardening_process
+  Engine.restore ~subject:hardening_subject ~process:hardening_process
     ~item_of_json:hardening_item_of_json ~res_of_json:hardening_res_of_json
     json
 
@@ -554,7 +554,7 @@ let test_of_json_truncation_sweep () =
         match hardening_of_json json with
         | Ok _ | Error _ -> ()
         | exception e ->
-            Alcotest.failf "of_json raised at truncation %d: %s" len
+            Alcotest.failf "restore raised at truncation %d: %s" len
               (Printexc.to_string e))
   done;
   (* structural truncations: drop each top-level field, then null each
@@ -584,7 +584,7 @@ let test_of_json_truncation_sweep () =
           | Ok _ -> Alcotest.failf "checkpoint without %S accepted (%s)" victim label
           | Error _ -> ()
           | exception e ->
-              Alcotest.failf "of_json raised on %s %S: %s" label victim
+              Alcotest.failf "restore raised on %s %S: %s" label victim
                 (Printexc.to_string e))
         [ ("dropped", dropped); ("nulled", nulled) ])
     kvs;
@@ -613,7 +613,7 @@ let test_of_json_corruption_sweep () =
             match hardening_of_json json with
             | Ok _ | Error _ -> ()
             | exception e ->
-                Alcotest.failf "of_json raised on '%c' at %d: %s" replacement i
+                Alcotest.failf "restore raised on '%c' at %d: %s" replacement i
                   (Printexc.to_string e))
       end
     done
@@ -629,7 +629,7 @@ let test_of_json_corruption_sweep () =
       | Ok _ -> Alcotest.fail "garbage checkpoint accepted"
       | Error _ -> ()
       | exception e ->
-          Alcotest.failf "of_json raised on garbage: %s" (Printexc.to_string e))
+          Alcotest.failf "restore raised on garbage: %s" (Printexc.to_string e))
     [
       Report.Json.Null;
       Report.Json.Int 3;
@@ -758,7 +758,7 @@ let test_pipeline_crash_requeue_to_fault_free () =
   let dead = Proxion.Analyzer.skipped crashed in
   check_b "the plan produced casualties" true (dead <> []);
   check_i "every casualty requeued" (List.length dead)
-    (Proxion.Analyzer.requeue_transients crashed);
+    (Proxion.Analyzer.requeue crashed);
   Proxion.Analyzer.run crashed;
   check_i "kill-once: no dead letters after the retry" 0
     (List.length (Proxion.Analyzer.skipped crashed));

@@ -244,53 +244,6 @@ let test_error_isolation () =
     [ Evm.Address.to_hex bad ]
     !skipped_events
 
-(* ------------------------------------------------------------------ *)
-(* Task_channel: waking and shutdown semantics                          *)
-(* ------------------------------------------------------------------ *)
-
-(* Regression: closing the channel must not drop chunks already pushed —
-   workers drain the backlog before seeing [None]. *)
-let test_task_channel_drain_on_close () =
-  let ch = Engine.Task_channel.create () in
-  Engine.Task_channel.push_many ch [ 1; 2; 3 ];
-  Engine.Task_channel.push ch 4;
-  Engine.Task_channel.close ch;
-  let drained = ref [] in
-  let rec go () =
-    match Engine.Task_channel.pop ch with
-    | Some v ->
-        drained := v :: !drained;
-        go ()
-    | None -> ()
-  in
-  go ();
-  check_sl "closed channel drains in-flight elements in order"
-    [ "1"; "2"; "3"; "4" ]
-    (List.rev_map string_of_int !drained);
-  check_b "pop stays None after the drain" true
-    (Engine.Task_channel.pop ch = None);
-  check_i "length is zero" 0 (Engine.Task_channel.length ch);
-  (* close is idempotent and wakes a pop blocked on another domain. *)
-  let ch2 = Engine.Task_channel.create () in
-  let waiter = Domain.spawn (fun () -> Engine.Task_channel.pop ch2) in
-  Engine.Task_channel.close ch2;
-  Engine.Task_channel.close ch2;
-  check_b "close wakes a blocked pop with None" true (Domain.join waiter = None)
-
-let test_task_channel_push_many_wakes_sleepers () =
-  let ch = Engine.Task_channel.create () in
-  let w1 = Domain.spawn (fun () -> Engine.Task_channel.pop ch) in
-  let w2 = Domain.spawn (fun () -> Engine.Task_channel.pop ch) in
-  Engine.Task_channel.push_many ch [ 10; 20 ];
-  let a = Domain.join w1 in
-  let b = Domain.join w2 in
-  Engine.Task_channel.close ch;
-  check_b "one coalesced broadcast feeds both sleepers" true
-    (List.sort compare [ a; b ] = [ Some 10; Some 20 ]);
-  check_b "push_many on an empty list is a no-op" true
-    (Engine.Task_channel.push_many ch [];
-     Engine.Task_channel.pop_opt ch = None)
-
 let suite =
   [
     Alcotest.test_case "batch ordering and events" `Quick test_batch_ordering;
@@ -305,8 +258,4 @@ let suite =
       test_dedup_cache_across_runs;
     Alcotest.test_case "error isolation skips only the failing item" `Quick
       test_error_isolation;
-    Alcotest.test_case "task channel drains in-flight chunks after close"
-      `Quick test_task_channel_drain_on_close;
-    Alcotest.test_case "task channel push_many wakes sleeping workers" `Quick
-      test_task_channel_push_many_wakes_sleepers;
   ]

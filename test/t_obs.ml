@@ -1,6 +1,6 @@
 (* Telemetry subsystem: the metrics registry (exposition validity, bucket
    determinism, shard absorption, percentile interpolation), the span
-   tracer (Chrome trace JSON round-trip, coordinator-lane nesting), the
+   tracer (Chrome trace JSON round-trip, live span nesting), the
    structured log sink (JSONL well-formedness, level filtering) and the
    clock abstraction — plus the end-to-end contract: a fully
    instrumented chaos run snapshots byte-identically at every worker
@@ -226,7 +226,7 @@ let test_summarize () =
 
 let small_config = { Generate.quick_config with Generate.total = 220; seed = 31 }
 
-let instrumented_run ?(fault_rate = 0.0) ?trace ~domains () =
+let instrumented_run ?(fault_rate = 0.0) ?trace ?window ~domains () =
   let land_ = Generate.generate small_config in
   let config =
     Proxion.Pipeline.Config.(
@@ -246,7 +246,9 @@ let instrumented_run ?(fault_rate = 0.0) ?trace ~domains () =
   let registry = Obs.Metrics.create () in
   Proxion.Analyzer.instrument ?trace registry t;
   Proxion.Analyzer.submit_all t;
+  let w0 = Obs.Clock.now Obs.Clock.real in
   Proxion.Analyzer.run t;
+  Option.iter (fun w -> w := (w0, Obs.Clock.now Obs.Clock.real)) window;
   (registry, t)
 
 let test_snapshot_identical_across_domains () =
@@ -294,7 +296,8 @@ let jnum key obj =
 
 let test_trace_roundtrip_and_nesting () =
   let trace = Obs.Trace.create () in
-  let _, _ = instrumented_run ~trace ~domains:1 () in
+  let window = ref (0.0, 0.0) in
+  let _, _ = instrumented_run ~trace ~window ~domains:1 () in
   check_b "trace recorded events" true (Obs.Trace.count trace > 0);
   (* Chrome trace JSON round-trips the repo's own parser. *)
   let text = Json.to_string (Obs.Trace.to_json trace) in
@@ -319,7 +322,7 @@ let test_trace_roundtrip_and_nesting () =
       ignore (jnum "tid" ev);
       if ph = "X" then check_b "complete spans have dur" true (jnum "dur" ev >= 0.0))
     events;
-  (* Coordinator-lane nesting on tid 0: run > batch > item > stage. *)
+  (* At DOMAINS=1 every span is on tid 0: run > batch > item > stage. *)
   let spans cat =
     List.filter
       (fun ev ->
@@ -349,10 +352,19 @@ let test_trace_roundtrip_and_nesting () =
   List.iter
     (fun s -> check_b "stage nests in an item" true (within ~outer:items s))
     stages;
-  (* Batch spans are emitted in index order along the synthetic timeline. *)
+  (* Batch spans are emitted in index order along the timeline. *)
   let batch_ts = List.map (jnum "ts") batches in
   check_b "batch timeline is non-decreasing" true
-    (List.for_all2 ( <= ) batch_ts (List.tl batch_ts @ [ infinity ]))
+    (List.for_all2 ( <= ) batch_ts (List.tl batch_ts @ [ infinity ]));
+  (* Engine spans are stamped live on the wall clock: every stage span
+     lies inside the window measured around [Analyzer.run]. *)
+  let w0, w1 = !window in
+  List.iter
+    (fun st ->
+      check_b "stage span inside the run's wall-clock window" true
+        (jnum "ts" st >= w0 *. 1e6
+        && jnum "ts" st +. jnum "dur" st <= w1 *. 1e6))
+    stages
 
 let test_trace_with_span () =
   let clock = Obs.Clock.virtual_ ~auto_step:1.0 () in
@@ -465,12 +477,11 @@ let test_live_span_tree () =
         (jstr "parent_span_id" (args rpc_ev))
   | _ -> Alcotest.fail "expected exactly the two spans of this trace"
 
-(* The worker-lane detail (RPC dispatches, EVM frames) rides real-time
-   tracks, so its bytes vary run to run — but its *content* must not
-   depend on the worker count: same names, cats and args at DOMAINS=1
-   and DOMAINS=4, only the lane tids and timestamps differ.  The
-   coordinator lane (tid 0) rides the synthetic timeline, so its event
-   sequence is order-identical too (modulo wall-clock arg fields). *)
+(* Spans are recorded live on real-time tracks, so their bytes, order
+   and lanes vary run to run — but their *content* must not depend on
+   the worker count: every span and instant, with its track, timing
+   (ts/dur) and worker and id args stripped, forms the same multiset at
+   DOMAINS=1 and DOMAINS=4. *)
 let test_span_tree_across_domains () =
   let events domains =
     let trace = Obs.Trace.create () in
@@ -482,38 +493,27 @@ let test_span_tree_across_domains () =
         | Some (Json.List l) -> l
         | _ -> Alcotest.fail "traceEvents missing")
   in
-  let e1 = events 1 and e4 = events 4 in
-  let tid ev = int_of_float (jnum "tid" ev) in
-  let args_key ~strip ev =
-    match jget "args" ev with
-    | Some (Json.Obj kvs) ->
-        Json.to_string
-          (Json.Obj (List.filter (fun (k, _) -> not (List.mem k strip)) kvs))
-    | _ -> ""
-  in
-  let shape ~strip ev =
+  let strip = [ "worker"; "trace_id"; "span_id"; "parent_span_id" ] in
+  let shape ev =
+    let args =
+      match jget "args" ev with
+      | Some (Json.Obj kvs) ->
+          Json.to_string
+            (Json.Obj (List.filter (fun (k, _) -> not (List.mem k strip)) kvs))
+      | _ -> ""
+    in
     Printf.sprintf "%s|%s|%s|%s" (jstr "name" ev) (jstr "cat" ev)
-      (jstr "ph" ev) (args_key ~strip ev)
+      (jstr "ph" ev) args
   in
-  (* Coordinator lane: same event sequence, in order. *)
-  let coord evs =
-    List.filter (fun ev -> tid ev = 0) evs
-    |> List.map (shape ~strip:[ "wall_elapsed"; "worker"; "delay"; "domains" ])
+  let multiset evs = List.sort compare (List.map shape evs) in
+  let m1 = multiset (events 1) and m4 = multiset (events 4) in
+  let has cat =
+    List.exists (fun k -> contains ~needle:("|" ^ cat ^ "|") k) m1
   in
-  check_i "coordinator lanes have equal length" (List.length (coord e1))
-    (List.length (coord e4));
-  List.iter2 (check_s "coordinator event sequence identical") (coord e1)
-    (coord e4);
-  (* Worker lanes: same multiset, lanes aside. *)
-  let lanes evs =
-    List.filter (fun ev -> tid ev > 0) evs
-    |> List.map (shape ~strip:[])
-    |> List.sort compare
-  in
-  let l1 = lanes e1 and l4 = lanes e4 in
-  check_b "worker-lane detail present" true (l1 <> []);
-  check_i "worker lanes have equal volume" (List.length l1) (List.length l4);
-  List.iter2 (check_s "worker-lane multiset identical") l1 l4
+  check_b "engine and leaf spans present" true
+    (List.for_all has [ "run"; "batch"; "item"; "stage"; "rpc"; "evm" ]);
+  check_i "equal span volume" (List.length m1) (List.length m4);
+  List.iter2 (check_s "span multiset identical") m1 m4
 
 (* --- exemplars ---------------------------------------------------------- *)
 

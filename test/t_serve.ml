@@ -900,11 +900,11 @@ let test_client_timeout () =
 
 (* The acceptance scenario: one traced [query] against a 3-endpoint
    quorum-2 daemon.  The daemon adopts the client's context; its
-   request span, the quorum-vote endpoint attempts and the EVM frames
-   all carry the client's trace_id; the max-latency exemplar names it;
-   the access log and the slow-request log (with the span tree) name
-   it; and the store is left byte-identical — live queries are
-   side-effect-free. *)
+   request span, the analysis's run and stage spans, the quorum-vote
+   endpoint attempts and the EVM frames all carry the client's
+   trace_id; the max-latency exemplar names it; the access log and the
+   slow-request log (with the span tree) name it; and the store is left
+   byte-identical — live queries are side-effect-free. *)
 let test_traced_query () =
   with_json_log @@ fun log read_log ->
   let trace = Obs.Trace.create () in
@@ -964,7 +964,8 @@ let test_traced_query () =
       (Serve.Store.report (Daemon.store d) ~unique_codes:(Daemon.unique_codes d))
   in
   check_s "store byte-identical after the live query" before after;
-  (* One joined trace: request span, endpoint votes, EVM frames. *)
+  (* One joined trace: request span, the engine's run and stage spans,
+     endpoint votes, EVM frames. *)
   let str key ev =
     match ev with
     | Json.Obj kvs -> (
@@ -998,6 +999,8 @@ let test_traced_query () =
       check_b "endpoint attempt spans joined the trace" true
         (List.mem "rpc" cats);
       check_b "EVM frame spans joined the trace" true (List.mem "evm" cats);
+      check_b "the analysis's run and stage spans joined the trace" true
+        (List.mem "run" cats && List.mem "stage" cats);
       let endpoints_seen =
         List.sort_uniq compare (List.filter_map (arg "endpoint") evs)
       in
@@ -1133,6 +1136,51 @@ let test_ops_console () =
   check_b "per-method table present" true (contains ~needle:"get_status" text);
   check_b "flight ring rendered" true (contains ~needle:"flight ring" text)
 
+(* ------------------------------------------------------------------ *)
+(* Chan: waking and shutdown semantics                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Regression: closing the channel must not drop chunks already pushed —
+   workers drain the backlog before seeing [None]. *)
+let test_task_channel_drain_on_close () =
+  let ch = Serve.Chan.create () in
+  List.iter (Serve.Chan.push ch) [ 1; 2; 3; 4 ];
+  Serve.Chan.close ch;
+  let drained = ref [] in
+  let rec go () =
+    match Serve.Chan.pop ch with
+    | Some v ->
+        drained := v :: !drained;
+        go ()
+    | None -> ()
+  in
+  go ();
+  Alcotest.(check (list string))
+    "closed channel drains in-flight elements in order"
+    [ "1"; "2"; "3"; "4" ]
+    (List.rev_map string_of_int !drained);
+  check_b "pop stays None after the drain" true
+    (Serve.Chan.pop ch = None);
+  check_i "length is zero" 0 (Serve.Chan.length ch);
+  (* close is idempotent and wakes a pop blocked on another domain. *)
+  let ch2 = Serve.Chan.create () in
+  let waiter = Domain.spawn (fun () -> Serve.Chan.pop ch2) in
+  Serve.Chan.close ch2;
+  Serve.Chan.close ch2;
+  check_b "close wakes a blocked pop with None" true (Domain.join waiter = None)
+
+let test_task_channel_push_wakes_sleepers () =
+  let ch = Serve.Chan.create () in
+  let w1 = Domain.spawn (fun () -> Serve.Chan.pop ch) in
+  let w2 = Domain.spawn (fun () -> Serve.Chan.pop ch) in
+  Serve.Chan.push ch 10;
+  Serve.Chan.push ch 20;
+  let a = Domain.join w1 in
+  let b = Domain.join w2 in
+  Serve.Chan.close ch;
+  check_b "one wakeup per element feeds both sleepers" true
+    (List.sort compare [ a; b ] = [ Some 10; Some 20 ])
+
 let suite =
   [
     Alcotest.test_case "frame round-trip" `Quick test_frame_roundtrip;
@@ -1168,4 +1216,8 @@ let suite =
       test_flight_dump_determinism;
     Alcotest.test_case "ops console digest and quantiles" `Quick
       test_ops_console;
+    Alcotest.test_case "task channel drains in-flight chunks after close"
+      `Quick test_task_channel_drain_on_close;
+    Alcotest.test_case "task channel push wakes one sleeper per element"
+      `Quick test_task_channel_push_wakes_sleepers;
   ]
