@@ -156,7 +156,7 @@ let micro_tests fx =
     Test.make ~name:"fig5/dedup-distribution"
       (Staged.stage (fun () ->
            Proxion.Dedup.duplicate_distribution
-             ~code_of:(Chain.code_at fx.fx_land.Dataset.Generate.chain)
+             ~hash_of:(Chain.code_hash fx.fx_land.Dataset.Generate.chain)
              fx.fx_proxy_addresses));
     Test.make ~name:"fig6/algorithm1-resolve"
       (Staged.stage (fun () ->
@@ -438,6 +438,91 @@ let stream_rss_rows () =
           with Scanf.Scan_failure _ | Failure _ -> None)
       | _ -> None)
     totals
+
+(* Keccak cost: single-block digest latency, bulk throughput, and the
+   landscape generation that Keccak dominates (selector mining, address
+   derivation, code hashes).  Each figure is the median of its trials,
+   with the min and max beside it. *)
+
+type spread = { sp_median : float; sp_min : float; sp_max : float }
+
+let spread_of samples =
+  let a = Array.of_list samples in
+  Array.sort compare a;
+  { sp_median = a.(Array.length a / 2); sp_min = a.(0); sp_max = a.(Array.length a - 1) }
+
+let spread_json sp =
+  [
+    ("median", Report.Json.Float sp.sp_median);
+    ("min", Report.Json.Float sp.sp_min);
+    ("max", Report.Json.Float sp.sp_max);
+  ]
+
+type keccak_figures = {
+  kf_single_us : spread;  (** One single-block (25-byte) digest. *)
+  kf_bulk_mb_s : spread;  (** One 4 MB digest. *)
+  kf_generate_s : (int * spread) list;  (** [Generate.default_config] by total. *)
+}
+
+let keccak_figures () =
+  let trials n f = spread_of (List.init n (fun _ -> f ())) in
+  let single () =
+    let n = 20_000 in
+    let (), s =
+      time (fun () ->
+          for _ = 1 to n do
+            ignore (Keccak.digest "transfer(address,uint256)")
+          done)
+    in
+    s *. 1e6 /. float_of_int n
+  in
+  let bulk_msg = String.make 4_000_000 'k' in
+  let bulk () =
+    let _, s = time (fun () -> Keccak.digest bulk_msg) in
+    float_of_int (String.length bulk_msg) /. 1e6 /. s
+  in
+  let generate total () =
+    Gc.compact ();
+    snd
+      (time (fun () ->
+           Dataset.Generate.generate
+             { Dataset.Generate.default_config with Dataset.Generate.total }))
+  in
+  {
+    kf_single_us = trials 5 single;
+    kf_bulk_mb_s = trials 5 bulk;
+    kf_generate_s =
+      List.map (fun total -> (total, trials 3 (generate total))) [ 4_000; 10_000 ];
+  }
+
+let keccak_json kf =
+  Report.Json.Obj
+    [
+      ("single_block_us", Report.Json.Obj (spread_json kf.kf_single_us));
+      ("bulk_mb_per_s", Report.Json.Obj (spread_json kf.kf_bulk_mb_s));
+      ( "generate_s",
+        Report.Json.List
+          (List.map
+             (fun (total, sp) ->
+               Report.Json.Obj (("total", Report.Json.Int total) :: spread_json sp))
+             kf.kf_generate_s) );
+    ]
+
+let keccak_rows kf =
+  let fmt unit sp = Printf.sprintf "%.2f %s (%.2f-%.2f)" sp.sp_median unit sp.sp_min sp.sp_max in
+  [
+    [ "keccak single-block digest"; fmt "us" kf.kf_single_us ];
+    [ "keccak bulk digest"; fmt "MB/s" kf.kf_bulk_mb_s ];
+  ]
+  @ List.map
+      (fun (total, sp) ->
+        [ Printf.sprintf "landscape generation, %d contracts" total; fmt "s" sp ])
+      kf.kf_generate_s
+
+let run_keccak () =
+  Report.print_table ~title:"Keccak-256 cost (median, min-max)"
+    ~header:[ "Metric"; "Value" ]
+    (keccak_rows (keccak_figures ()))
 
 let run_engine fx =
   let chain = fx.fx_land.Dataset.Generate.chain in
@@ -763,6 +848,7 @@ let run_engine fx =
          (Engine.stage_totals (Proxion.Analyzer.engine t)))
   in
   let cores = Domain.recommended_domain_count () in
+  let keccak = keccak_figures () in
   let bench_json =
     Report.Json.Obj
       [
@@ -811,6 +897,7 @@ let run_engine fx =
                      ("stages", stage_json t);
                    ])
                domain_rows) );
+        ("keccak", keccak_json keccak);
         ( "keccak_memo",
           Report.Json.Obj
             [
@@ -902,7 +989,7 @@ let run_engine fx =
   let t = analyze_with 32 in
   Report.print_table ~title:"Engine: staged scheduler characteristics"
     ~header:[ "Metric"; "Value" ]
-    [
+    ([
       [ "full run by batch size"; String.concat "; " sweep ];
       [ "full run by domains"; domain_summary ];
       [
@@ -971,9 +1058,12 @@ let run_engine fx =
               (float_of_int bytes /. 1024.0)
               committed dropped open_s replay_s);
       ];
+    ]
+    @ keccak_rows keccak
+    @ [
       [ "machine-readable artifact"; bench_engine_json_path ];
       [ "per-stage totals"; "" ];
-    ];
+    ]);
   print_string (Proxion.Analyzer.stage_totals_table t)
 
 (* ------------------------------------------------------------------ *)
@@ -1046,6 +1136,7 @@ let () =
   | "engine" ->
       let fx = build_fixtures () in
       run_engine fx
+  | "keccak" -> run_keccak ()
   | "table1" -> run_table1 ()
   | "table2" -> run_table2 ()
   | "table3" -> run_table3 ()
@@ -1073,7 +1164,7 @@ let () =
       section "landscape" run_all_landscape
   | other ->
       Printf.eprintf
-        "unknown section %s (try: micro ablation engine table1 table2 table3 \
+        "unknown section %s (try: micro ablation engine keccak table1 table2 table3 \
          table4 fig2 fig4 fig5 fig6 perf effectiveness multichain landscape \
          all)\n"
         other;

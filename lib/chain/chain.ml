@@ -151,7 +151,7 @@ let register_contract t ~address ~creator =
         cm_address = address;
         cm_deploy_height = t.head;
         cm_creator = creator;
-        cm_code_hash = Keccak.digest (t.state.Host.get_code address);
+        cm_code_hash = t.state.Host.get_code_hash address;
       }
     in
     Hashtbl.replace t.contracts address meta;
@@ -504,6 +504,7 @@ let storage_change_heights t addr slot =
 (* ------------------------------------------------------------------ *)
 
 let code_at t addr = t.state.Host.get_code addr
+let code_hash t addr = t.state.Host.get_code_hash addr
 let contract_meta t addr = Hashtbl.find_opt t.contracts addr
 let all_contracts t = List.rev t.contract_order
 

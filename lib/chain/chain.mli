@@ -168,6 +168,12 @@ val storage_change_heights : t -> Evm.Address.t -> U256.t -> int list
 (** {1 Contract and transaction indexes} *)
 
 val code_at : t -> Evm.Address.t -> string
+
+val code_hash : t -> Evm.Address.t -> string
+(** Keccak-256 of {!code_at}, read from the account record where it was
+    stored when the code was installed (EXTCODEHASH's value for an existing
+    account): a lookup, not a hash. *)
+
 val contract_meta : t -> Evm.Address.t -> contract_meta option
 val all_contracts : t -> contract_meta list
 (** In deployment order. *)

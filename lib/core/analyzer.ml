@@ -233,8 +233,8 @@ let analyze_pair t env ctx ~proxy_addr ~logic_addr =
       (Address.to_hex logic_addr)
   in
   let key =
-    ( Keccak.digest (Chain.code_at env.e_chain proxy_addr),
-      Keccak.digest (Chain.code_at env.e_chain logic_addr) )
+    ( Chain.code_hash env.e_chain proxy_addr,
+      Chain.code_hash env.e_chain logic_addr )
   in
   let cached =
     if t.cfg.Config.dedup then
@@ -294,7 +294,7 @@ let analyze_contract t env ctx addr =
   let subject = Address.to_hex addr in
   let stage s f = timed ctx env ~stage:s ~subject f in
   let code = Chain.code_at env.e_chain addr in
-  let code_hash = Keccak.digest code in
+  let code_hash = Chain.code_hash env.e_chain addr in
   (* Stage 1: bytecode-hash dedup lookup. *)
   let hit =
     stage Engine.Dedup_check (fun () ->
@@ -367,7 +367,7 @@ let analyze_contract t env ctx addr =
 (* Chains of same-bytecode items run sequentially on one worker; this is
    the key that makes shared-cache hits replay in input order (the dedup
    and pair caches are keyed by exactly this hash). *)
-let group_key chain addr = Keccak.digest (Chain.code_at chain addr)
+let group_key chain addr = Chain.code_hash chain addr
 
 (* One logical archive connection per item.  The salt derives from the
    subject address alone, so the fault/jitter stream a contract sees is a

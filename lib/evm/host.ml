@@ -25,6 +25,7 @@ let default_block =
 
 type t = {
   get_code : Address.t -> string;
+  get_code_hash : Address.t -> string;
   get_storage : Address.t -> U256.t -> U256.t;
   set_storage : Address.t -> U256.t -> U256.t -> unit;
   get_balance : Address.t -> U256.t;
@@ -39,10 +40,17 @@ type t = {
   block : block_info;
 }
 
-(* In-memory world state with an undo journal for snapshots. *)
+(* In-memory world state with an undo journal for snapshots.
+
+   [code_hash] is Keccak-256 of [code], computed once when the code is
+   installed and undone together with it (one [Set_code] entry restores
+   both), so it can never disagree with [code]. *)
+
+let empty_code_hash = Keccak.digest ""
 
 type account = {
   mutable code : string;
+  mutable code_hash : string;
   mutable balance : U256.t;
   mutable nonce : int;
   storage : U256.t U256.Tbl.t;
@@ -53,7 +61,7 @@ type undo =
   | Set_storage of account * U256.t * U256.t option
   | Set_balance of account * U256.t
   | Set_nonce of account * int
-  | Set_code of account * string
+  | Set_code of account * string * string
   | Set_alive of account * bool
   | Added_account of Address.t
 
@@ -74,6 +82,7 @@ let in_memory_admin ?(block = default_block) () =
         let a =
           {
             code = "";
+            code_hash = empty_code_hash;
             balance = U256.zero;
             nonce = 0;
             storage = U256.Tbl.create 8;
@@ -119,6 +128,11 @@ let in_memory_admin ?(block = default_block) () =
     | Some a when a.alive -> a.code
     | _ -> ""
   in
+  let get_code_hash addr =
+    match Hashtbl.find_opt accounts addr with
+    | Some a when a.alive -> a.code_hash
+    | _ -> empty_code_hash
+  in
   let account_exists addr =
     match Hashtbl.find_opt accounts addr with
     | Some a -> a.alive || a.nonce > 0 || not (U256.is_zero a.balance)
@@ -126,9 +140,10 @@ let in_memory_admin ?(block = default_block) () =
   in
   let create_account addr ~code =
     let a = account addr in
-    push (Set_code (a, a.code));
+    push (Set_code (a, a.code, a.code_hash));
     push (Set_alive (a, a.alive));
     a.code <- code;
+    a.code_hash <- Keccak.digest code;
     a.alive <- true
   in
   let selfdestruct addr ~beneficiary =
@@ -139,9 +154,10 @@ let in_memory_admin ?(block = default_block) () =
     push (Set_balance (a, a.balance));
     a.balance <- U256.zero;
     push (Set_alive (a, a.alive));
-    push (Set_code (a, a.code));
+    push (Set_code (a, a.code, a.code_hash));
     a.alive <- false;
-    a.code <- ""
+    a.code <- "";
+    a.code_hash <- empty_code_hash
   in
   let snapshot () = !journal_len in
   let revert_to mark =
@@ -158,7 +174,9 @@ let in_memory_admin ?(block = default_block) () =
               | Some v -> U256.Tbl.replace a.storage slot v)
           | Set_balance (a, prev) -> a.balance <- prev
           | Set_nonce (a, prev) -> a.nonce <- prev
-          | Set_code (a, prev) -> a.code <- prev
+          | Set_code (a, code, hash) ->
+              a.code <- code;
+              a.code_hash <- hash
           | Set_alive (a, prev) -> a.alive <- prev
           | Added_account addr -> Hashtbl.remove accounts addr))
     done
@@ -166,6 +184,7 @@ let in_memory_admin ?(block = default_block) () =
   let host =
     {
       get_code;
+      get_code_hash;
       get_storage;
       set_storage;
       get_balance;
@@ -211,15 +230,17 @@ end)
 
 type ov_undo =
   | Ov_storage of (Address.t * U256.t) * U256.t option
-  | Ov_code of Address.t * (string * bool) option
+  | Ov_code of Address.t * (string * string * bool) option
   | Ov_balance of Address.t * U256.t option
   | Ov_nonce of Address.t * int option
 
 let overlay base =
-  (* Code override: [(code, alive)].  Storage overrides store the effective
-     value — including zero — so a written-then-cleared slot shadows the
-     base value instead of exposing it again. *)
-  let code_ov : (Address.t, string * bool) Hashtbl.t = Hashtbl.create 16 in
+  (* Code override: [(code, code_hash, alive)].  Storage overrides store
+     the effective value — including zero — so a written-then-cleared slot
+     shadows the base value instead of exposing it again. *)
+  let code_ov : (Address.t, string * string * bool) Hashtbl.t =
+    Hashtbl.create 16
+  in
   let storage_ov : U256.t Slot_tbl.t = Slot_tbl.create 64 in
   let balance_ov : (Address.t, U256.t) Hashtbl.t = Hashtbl.create 16 in
   let nonce_ov : (Address.t, int) Hashtbl.t = Hashtbl.create 16 in
@@ -231,12 +252,17 @@ let overlay base =
   in
   let get_code addr =
     match Hashtbl.find_opt code_ov addr with
-    | Some (code, alive) -> if alive then code else ""
+    | Some (code, _, alive) -> if alive then code else ""
     | None -> base.get_code addr
+  in
+  let get_code_hash addr =
+    match Hashtbl.find_opt code_ov addr with
+    | Some (_, hash, alive) -> if alive then hash else empty_code_hash
+    | None -> base.get_code_hash addr
   in
   let eff_alive addr =
     match Hashtbl.find_opt code_ov addr with
-    | Some (_, alive) -> alive
+    | Some (_, _, alive) -> alive
     | None ->
         (* Approximation: a base account that is alive with empty code is
            treated as absent.  The analysis datasets never create such
@@ -275,15 +301,17 @@ let overlay base =
   let account_exists addr =
     eff_alive addr || get_nonce addr > 0 || not (U256.is_zero (get_balance addr))
   in
-  let set_code addr code alive =
+  let set_code addr code hash alive =
     push (Ov_code (addr, Hashtbl.find_opt code_ov addr));
-    Hashtbl.replace code_ov addr (code, alive)
+    Hashtbl.replace code_ov addr (code, hash, alive)
   in
-  let create_account addr ~code = set_code addr code true in
+  let create_account addr ~code =
+    set_code addr code (Keccak.digest code) true
+  in
   let selfdestruct addr ~beneficiary =
     set_balance beneficiary (U256.add (get_balance beneficiary) (get_balance addr));
     set_balance addr U256.zero;
-    set_code addr "" false
+    set_code addr "" empty_code_hash false
   in
   let snapshot () = !journal_len in
   let revert_to mark =
@@ -314,6 +342,7 @@ let overlay base =
   in
   {
     get_code;
+    get_code_hash;
     get_storage;
     set_storage;
     get_balance;

@@ -23,6 +23,13 @@ val default_block : block_info
 
 type t = {
   get_code : Address.t -> string;
+  get_code_hash : Address.t -> string;
+  (** Keccak-256 of [get_code addr], stored beside the code when it is
+      installed (so Keccak-256 of the empty string for an account without
+      code).  Every path that changes the code — [create_account],
+      [selfdestruct], [revert_to], dropping the account — changes the hash
+      with it.  EXTCODEHASH's 0 for a nonexistent account is the
+      interpreter's decision, made with [account_exists]. *)
   get_storage : Address.t -> U256.t -> U256.t;
   set_storage : Address.t -> U256.t -> U256.t -> unit;
   get_balance : Address.t -> U256.t;

@@ -345,7 +345,7 @@ let rec exec_frame ctx (params : call_params) : result =
          | EXTCODEHASH ->
              let addr = Address.of_u256 (pop ()) in
              if not (host.Host.account_exists addr) then push U256.zero
-             else push (U256.of_bytes_be (Keccak.digest (host.Host.get_code addr)))
+             else push (U256.of_bytes_be (host.Host.get_code_hash addr))
          | BLOCKHASH ->
              let height = pop () in
              let current = host.Host.block.Host.number in

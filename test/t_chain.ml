@@ -361,6 +361,41 @@ let test_rpc_eth_call () =
   (* eth_call leaves no transaction behind. *)
   check_i "no extra tx" 2 (List.length (Chain.all_transactions chain))
 
+(* [Chain.code_hash] reads the hash stored at install time: it must agree
+   with the contract metadata, with hashing [code_at] afresh, with a
+   worker view, and must go with the code on eviction. *)
+let test_code_hash () =
+  let chain = Chain.create () in
+  let runtime = "\x60\x07\x00" in
+  let a = Chain.install_contract chain ~runtime () in
+  check_b "installed" true (Chain.code_hash chain a = Keccak.digest runtime);
+  (match Chain.contract_meta chain a with
+  | None -> Alcotest.fail "meta missing"
+  | Some m ->
+      check_b "meta hash" true (m.Chain.cm_code_hash = Chain.code_hash chain a));
+  let init =
+    Evm.Asm.assemble
+      [
+        Evm.Asm.Push_int 0;
+        Evm.Asm.Push_int 0;
+        Evm.Asm.Op Evm.Opcode.MSTORE8;
+        Evm.Asm.Push_int 1;
+        Evm.Asm.Push_int 0;
+        Evm.Asm.Op Evm.Opcode.RETURN;
+      ]
+  in
+  (match Chain.deploy chain ~from:alice ~init_code:init () with
+  | Error e -> Alcotest.failf "deploy failed: %s" e
+  | Ok d ->
+      check_b "deployed via CREATE" true (Chain.code_hash chain d = Keccak.digest "\x00");
+      match Chain.contract_meta chain d with
+      | None -> Alcotest.fail "meta missing"
+      | Some m -> check_b "CREATE meta hash" true (m.Chain.cm_code_hash = Keccak.digest "\x00"));
+  let view = Chain.worker_view chain in
+  check_b "worker view" true (Chain.code_hash view a = Keccak.digest runtime);
+  Chain.forget_contract chain a;
+  check_b "evicted" true (Chain.code_hash chain a = Keccak.digest "")
+
 let suite =
   [
     Alcotest.test_case "install and meta" `Quick test_install_and_meta;
@@ -378,4 +413,5 @@ let suite =
     Alcotest.test_case "internal call indexing" `Quick test_internal_call_indexing;
     Alcotest.test_case "height advances" `Quick test_height_advances;
     Alcotest.test_case "block timestamps advance" `Quick test_block_timestamps_advance;
+    Alcotest.test_case "code hash" `Quick test_code_hash;
   ]

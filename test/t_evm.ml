@@ -864,6 +864,106 @@ let test_host_snapshots () =
   check_u "storage restored" U256.zero (host.Host.get_storage contract_a U256.one);
   check_s "code removed" "" (host.Host.get_code contract_b)
 
+(* Host code hashes: [get_code_hash] is stored when code is installed and
+   must follow every path that changes the code. *)
+let empty_hash = Keccak.digest ""
+
+let check_hash name host a expected =
+  check_s name (Hexutil.to_hex (Keccak.digest expected))
+    (Hexutil.to_hex (host.Host.get_code_hash a));
+  check_s (name ^ " (matches get_code)")
+    (Hexutil.to_hex (Keccak.digest (host.Host.get_code a)))
+    (Hexutil.to_hex (host.Host.get_code_hash a))
+
+let test_host_code_hash () =
+  let host, admin = Host.in_memory_admin () in
+  check_hash "absent account" host contract_a "";
+  let c1 = "\x60\x01\x00" and c2 = "\x60\x02\x00" in
+  host.Host.create_account contract_a ~code:c1;
+  check_hash "create_account" host contract_a c1;
+  (* Nested snapshots: overwrite, then selfdestruct, then unwind both. *)
+  let outer = host.Host.snapshot () in
+  host.Host.create_account contract_a ~code:c2;
+  check_hash "overwrite" host contract_a c2;
+  let inner = host.Host.snapshot () in
+  host.Host.selfdestruct contract_a ~beneficiary:alice;
+  check_hash "selfdestruct" host contract_a "";
+  (* EXTCODEHASH of the now-void account still pushes 0. *)
+  Host.with_code host contract_b
+    (return_word_program
+       [ Asm.Push_u256 (Address.to_u256 contract_a); Asm.Op Opcode.EXTCODEHASH ]);
+  let r =
+    Interp.execute host (Interp.make_call ~caller:alice ~target:contract_b ~input:"" ())
+  in
+  check_u "extcodehash of a selfdestructed account" U256.zero
+    (Abi.decode_uint r.Interp.return_data);
+  host.Host.revert_to inner;
+  check_hash "revert selfdestruct" host contract_a c2;
+  host.Host.revert_to outer;
+  check_hash "revert overwrite" host contract_a c1;
+  (* Dropping the account takes its hash with it. *)
+  admin.Host.commit ();
+  admin.Host.drop_account contract_a;
+  check_hash "drop_account" host contract_a "";
+  check_s "empty hash constant" (Hexutil.to_hex empty_hash)
+    "0xc5d2460186f7233c927e7db2dcc703c0e500b653ca82273b7bfad8045d85a470"
+
+let test_overlay_code_hash () =
+  let base = Host.in_memory () in
+  let c1 = "\x60\x01\x00" and c2 = "\x60\x02\x00" in
+  Host.with_code base contract_a c1;
+  let ov = Host.overlay base in
+  check_hash "falls through to the base" ov contract_a c1;
+  let mark = ov.Host.snapshot () in
+  ov.Host.create_account contract_a ~code:c2;
+  check_hash "shadowing write" ov contract_a c2;
+  check_hash "base untouched" base contract_a c1;
+  let mark2 = ov.Host.snapshot () in
+  ov.Host.selfdestruct contract_a ~beneficiary:alice;
+  check_hash "overlay selfdestruct" ov contract_a "";
+  ov.Host.revert_to mark2;
+  check_hash "revert overlay selfdestruct" ov contract_a c2;
+  ov.Host.revert_to mark;
+  check_hash "revert shadowing write" ov contract_a c1;
+  ov.Host.create_account contract_b ~code:c2;
+  check_hash "fresh overlay account" ov contract_b c2;
+  check_hash "absent in the base" base contract_b ""
+
+(* CREATE installs the init code at the new address while the init frame
+   runs; the hash left behind must be the deployed code's, or the empty
+   hash when the init frame reverts. *)
+let test_create_code_hash () =
+  let host = Host.in_memory () in
+  host.Host.set_balance alice (U256.of_int 1_000_000);
+  let init =
+    Asm.assemble
+      [
+        Asm.Push_int 0x00;
+        Asm.Push_int 0;
+        Asm.Op Opcode.MSTORE8;
+        Asm.Push_int 1;
+        Asm.Push_int 0;
+        Asm.Op Opcode.RETURN;
+      ]
+  in
+  let r =
+    Interp.create host ~caller:alice ~value:U256.zero ~init_code:init
+      ~gas:1_000_000
+  in
+  (match r.Interp.created with
+  | None -> Alcotest.fail "no address"
+  | Some a -> check_hash "deployed, not init, code" host a "\x00");
+  let reverting =
+    Asm.assemble [ Asm.Push_int 0; Asm.Push_int 0; Asm.Op Opcode.REVERT ]
+  in
+  let r =
+    Interp.create host ~caller:alice ~value:U256.zero ~init_code:reverting
+      ~gas:1_000_000
+  in
+  check_b "reverted create" false (Interp.succeeded r);
+  let a = Rlp.contract_address ~sender:alice ~nonce:1 in
+  check_hash "reverted init leaves no hash" host a ""
+
 let suite =
   [
     Alcotest.test_case "disasm basic" `Quick test_disasm_basic;
@@ -912,4 +1012,7 @@ let suite =
     Alcotest.test_case "blockhash window" `Quick test_blockhash_window;
     Alcotest.test_case "log arities" `Quick test_log_arities;
     Alcotest.test_case "asm size limit" `Quick test_asm_size_limit;
+    Alcotest.test_case "host code hash" `Quick test_host_code_hash;
+    Alcotest.test_case "overlay code hash" `Quick test_overlay_code_hash;
+    Alcotest.test_case "create code hash" `Quick test_create_code_hash;
   ]

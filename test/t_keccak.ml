@@ -22,6 +22,28 @@ let test_long () =
     "0xa6c4d403279fe3e0af03729caada8374b5ca54d8065329a3ebcaeb4b60aa386e"
     (Keccak.digest_hex (String.make 136 'a'))
 
+(* Padding and block boundaries around the 136-byte rate.  The vectors
+   were computed with the loop-and-index permutation (Keccak_ref) and
+   cross-checked against an independent big-integer implementation. *)
+let test_boundaries () =
+  let a n = Keccak.digest_hex (String.make n 'a') in
+  (* 135 bytes: the 0x01 and 0x80 padding bits share the last byte (0x81). *)
+  check_s "135-byte message"
+    "0x34367dc248bbd832f4e3e69dfaac2f92638bd0bbd18f2912ba4ef454919cf446" (a 135);
+  check_s "137-byte message"
+    "0xd869f639c7046b4929fc92a4d988a8b22c55fbadb802c0c66ebcd484f1915f39" (a 137);
+  check_s "271-byte message"
+    "0x132f47effd6c8b1b299efa53fe68aece77ec8ae4eb2e294f668eec94f76001e1" (a 271);
+  check_s "272-byte message"
+    "0xcf7fcd4f705ee749930d19ca84561a9bf62516bd90a471545fa2f49fdc7e63c8" (a 272);
+  check_s "273-byte message"
+    "0x5a7b8187d2778e614097fac3097573de1fee4d972304d3360796a857029bb176" (a 273)
+
+let test_megabyte () =
+  check_s "1 MB message"
+    "0x6e1a767599fed3677caee7e239900e994a62fc251249ac0d4d837027648fed89"
+    (Keccak.digest_hex (String.init 1_000_000 (fun i -> Char.chr (i land 0xff))))
+
 let test_selectors () =
   check_s "transfer(address,uint256)" "0xa9059cbb"
     (Keccak.selector_hex "transfer(address,uint256)");
@@ -58,6 +80,13 @@ let qcheck_distinct =
     QCheck.(pair (string_of_size (Gen.int_bound 64)) (string_of_size (Gen.int_bound 64)))
     (fun (a, b) -> a = b || Keccak.digest a <> Keccak.digest b)
 
+(* The straight-line permutation against the loop-and-index reference,
+   over lengths that cover zero, one, several and boundary blocks. *)
+let qcheck_differential =
+  QCheck.Test.make ~name:"matches the reference permutation" ~count:600
+    QCheck.(string_of_size (Gen.int_bound 700))
+    (fun s -> Keccak.digest s = Keccak_ref.digest s)
+
 let suite =
   [
     Alcotest.test_case "empty" `Quick test_empty;
@@ -68,4 +97,7 @@ let suite =
     Alcotest.test_case "eip slots" `Quick test_eip_slots;
     QCheck_alcotest.to_alcotest qcheck_deterministic;
     QCheck_alcotest.to_alcotest qcheck_distinct;
+    QCheck_alcotest.to_alcotest qcheck_differential;
+    Alcotest.test_case "rate boundaries" `Quick test_boundaries;
+    Alcotest.test_case "1 MB" `Quick test_megabyte;
   ]

@@ -250,6 +250,47 @@ let test_rewind_remine_identity () =
   check_b "rewinding past the head is a no-op" true
     (rw2.Chain.rw_orphaned = [] && rw2.Chain.rw_reverted_writes = [])
 
+(* A rewound address that is re-mined with different code must carry the
+   new code's hash, and every hash must match a chain that never
+   rewound. *)
+let test_rewind_remine_code_hashes () =
+  let hashes chain =
+    List.map
+      (fun (m : Chain.contract_meta) ->
+        let a = m.Chain.cm_address in
+        ( Evm.Address.to_hex a,
+          Hexutil.to_hex m.Chain.cm_code_hash,
+          Hexutil.to_hex (Chain.code_hash chain a),
+          Hexutil.to_hex (Keccak.digest (Chain.code_at chain a)) ))
+      (Chain.all_contracts chain)
+  in
+  let runtimes = [ "\x60\x01\x00"; "\x60\x02\x00"; "\x60\x03\x00" ] in
+  let cold = Chain.create () in
+  List.iter (fun r -> ignore (Chain.install_contract cold ~runtime:r ())) runtimes;
+  let chain = Chain.create () in
+  ignore (Chain.install_contract chain ~runtime:(List.hd runtimes) ());
+  let fork_base = Chain.height chain in
+  (* The orphaned fork deploys other code at the addresses the re-mined
+     blocks will reuse. *)
+  let doomed = Chain.install_contract chain ~runtime:"\xfe\xfe" () in
+  ignore (Chain.install_contract chain ~runtime:"\xfd" ());
+  ignore (Chain.rewind_to chain ~height:fork_base);
+  check_s "orphaned hash is gone" (Hexutil.to_hex (Keccak.digest ""))
+    (Hexutil.to_hex (Chain.code_hash chain doomed));
+  List.iter (fun r -> ignore (Chain.install_contract chain ~runtime:r ())) (List.tl runtimes);
+  check_b "the re-mined address is reused" true
+    (List.exists
+       (fun (m : Chain.contract_meta) -> Evm.Address.equal m.Chain.cm_address doomed)
+       (Chain.all_contracts chain));
+  List.iter2
+    (fun (a, meta, stored, fresh) (a', meta', stored', fresh') ->
+      check_s "address" a a';
+      check_s ("meta hash " ^ a) meta meta';
+      check_s ("stored hash " ^ a) stored stored';
+      check_s ("stored = fresh " ^ a) stored fresh;
+      check_s ("cold stored = fresh " ^ a) stored' fresh')
+    (hashes chain) (hashes cold)
+
 (* ------------------------------------------------------------------ *)
 (* Scripted reorgs                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -504,4 +545,6 @@ let suite =
       test_daemon_reorg_identity_par;
     Alcotest.test_case "warm recovery replays the reorg history" `Quick
       test_daemon_reorg_warm_recovery;
+    Alcotest.test_case "rewind + re-mine gives a cold chain's code hashes" `Quick
+      test_rewind_remine_code_hashes;
   ]
